@@ -252,21 +252,18 @@ class RunResult:
 
 
 def _dynamic_runner(algorithm_cls, graph, stream, solution, **algorithm_kwargs):
-    """Build a ``run(backend, shard_count, max_workers, chunk)`` closure for a dynamic workload."""
+    """Build a ``run(backend, shard_count, ...)`` closure for a dynamic workload."""
     n = max(1, graph.num_vertices)
     m = max(1, graph.num_edges, 2 * n)
 
     def run(
-        backend, shard_count, max_workers, process_chunk_machines=None, replan_every=None,
-        resident_slots=None, layout=None, coalesce=None,
+        backend, shard_count, replan_every=None, resident_slots=None, layout=None, coalesce=None,
     ) -> RunResult:
         config = DMPCConfig.for_graph(
             n,
             2 * m,
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
             replan_every=replan_every,
             resident_slots=resident_slots,
         )
@@ -344,22 +341,18 @@ def _three_halves_workload(n: int, updates: int, seed: int):
 def _static_runner(make_algorithm, solution, label: str):
     """Build a ``run(...)`` closure timing one full static recomputation.
 
-    Static baselines are superstep-style, so this is where the ``parallel``
-    and ``process`` backends' pooled execution shows up; the ``updates``
-    knob is unused.
+    Static baselines are superstep-style, so this is where the ``resident``
+    backend's worker sessions show up; the ``updates`` knob is unused.
     """
 
     def run(
-        backend, shard_count, max_workers, process_chunk_machines=None, replan_every=None,
-        resident_slots=None, layout=None, coalesce=None,
+        backend, shard_count, replan_every=None, resident_slots=None, layout=None, coalesce=None,
     ) -> RunResult:
         # layout / coalesce are dynamic-stack knobs; static recomputation
         # accepts and ignores them so compare_backends has one run signature.
         algorithm = make_algorithm(
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
             replan_every=replan_every,
             resident_slots=resident_slots,
         )
@@ -451,7 +444,7 @@ def profile_top_entries(fn: Callable[[], Any], *, top: int = 20) -> list[dict]:
     return entries
 
 
-#: workload name -> builder(n, updates, seed) -> run(backend, shard_count, max_workers, chunk)
+#: workload name -> builder(n, updates, seed) -> run(backend, shard_count, ...)
 WORKLOADS: dict[str, Callable] = {
     "connectivity": _connectivity_workload,
     "maximal-matching": _matching_workload,
@@ -473,8 +466,6 @@ def compare_backends(
     repeats: int = 3,
     warmup: int = 0,
     shard_count: int | None = None,
-    max_workers: int | None = None,
-    process_chunk_machines: int | None = None,
     replan_every: int | None = None,
     resident_slots: int | None = None,
     layout: str | None = None,
@@ -489,14 +480,14 @@ def compare_backends(
     scheduler slice, while the median is what a backend comparison can
     actually stand on; the raw samples are kept in the record so outliers
     stay visible.  ``warmup`` extra iterations run first and are discarded
-    (per backend, still equivalence-checked): the pooled backends pay a
+    (per backend, still equivalence-checked): the resident backend pays a
     one-time worker spawn cost that used to pollute the first sample —
     0.45s cold against a 0.08s steady state on static-connectivity — and a
     warm-up makes the medians compare steady states.  Equivalence —
     identical solutions and identical per-update round counts — is
     asserted, not just reported: a backend that changes the simulation is a
-    bug, not a trade-off.  ``shard_count`` / ``max_workers`` configure the
-    sharded-family backends (other backends ignore them);
+    bug, not a trade-off.  ``shard_count`` configures the sharded-family
+    backends (other backends ignore it);
     ``replan_every`` turns on the live shard-replan autotuning loop, and
     the plans it adopts are recorded per backend under ``"replans"``.
     ``resident_slots`` pins the resident backend's worker-slot count (the
@@ -518,10 +509,7 @@ def compare_backends(
     # measured during the slow minute.
     for iteration in range(-max(0, warmup), max(1, repeats)):
         for backend in backends:
-            result = run(
-                backend, shard_count, max_workers, process_chunk_machines, replan_every,
-                resident_slots, layout, coalesce,
-            )
+            result = run(backend, shard_count, replan_every, resident_slots, layout, coalesce)
             last = lasts.get(backend)
             if last is not None and (
                 result.solution != last.solution or result.round_counts != last.round_counts
@@ -559,10 +547,7 @@ def compare_backends(
             # One extra (untimed) run per backend under cProfile; the top
             # cumulative entries become part of the perf record's provenance.
             results[backend]["profile_top"] = profile_top_entries(
-                lambda: run(
-                    backend, shard_count, max_workers, process_chunk_machines, replan_every,
-                    resident_slots, layout, coalesce,
-                )
+                lambda: run(backend, shard_count, replan_every, resident_slots, layout, coalesce)
             )
     baseline = backends[0]
     for backend in backends[1:]:
@@ -575,7 +560,7 @@ def compare_backends(
         )
     if "fast" in results:
         # Speedups relative to fast — the single-process optimised baseline
-        # every pooled backend is really racing — even when another backend
+        # every sharded-family backend is really racing — even when another backend
         # (usually reference) anchors the comparison.
         for backend in results:
             if backend not in ("fast", baseline):
@@ -588,8 +573,6 @@ def compare_backends(
         "n": n,
         "updates": updates,
         "shard_count": shard_count,
-        "max_workers": max_workers,
-        "process_chunk_machines": process_chunk_machines,
         "replan_every": replan_every,
         "resident_slots": resident_slots,
         "backends": results,
@@ -643,22 +626,14 @@ def main(argv: list[str] | None = None) -> int:
         default=["reference", "fast"],
         help="backends to compare; the first is the baseline speedups are relative to",
     )
-    parser.add_argument("--shards", type=int, default=None, help="shard_count for sharded/parallel/process backends")
-    parser.add_argument("--workers", type=int, default=None, help="max_workers for the parallel/process backends")
+    parser.add_argument("--shards", type=int, default=None, help="shard_count for the sharded/resident backends")
     parser.add_argument(
         "--warmup",
         type=int,
         default=0,
         metavar="K",
         help="discard K warm-up iterations per backend before the --repeat samples "
-        "(hides pooled-backend worker spawn cost from the medians)",
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        metavar="C",
-        help="process_chunk_machines: chunk process-backend shard jobs into runs of at most C machines",
+        "(hides resident worker spawn cost from the medians)",
     )
     parser.add_argument(
         "--replan-every",
@@ -731,8 +706,6 @@ def main(argv: list[str] | None = None) -> int:
         warmup=args.warmup,
         backends=tuple(args.backends),
         shard_count=args.shards,
-        max_workers=args.workers,
-        process_chunk_machines=args.chunk,
         replan_every=args.replan_every,
         resident_slots=args.resident_slots,
         layout=args.layout,

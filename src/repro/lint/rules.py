@@ -31,7 +31,7 @@ RULES: dict[str, Rule] = {
             "RP101",
             "undeclared-shared-read",
             "run reads a shared key not declared in shared_reads — works in-process, "
-            "raises KeyError inside a process/resident worker",
+            "raises KeyError inside a resident worker",
         ),
         Rule(
             "RP102",

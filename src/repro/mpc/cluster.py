@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.config import DMPCConfig
 from repro.exceptions import ProtocolError, UnknownMachineError
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.metrics import MetricsLedger, RoundRecord
+from repro.mpc.program import SuperstepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mpc.program import SuperstepProgram
     from repro.runtime.base import ExecutionBackend, ExecutionSession
     from repro.runtime.sharding import ShardPlan
 
@@ -28,10 +27,10 @@ class Cluster:
       with :meth:`Machine.send` and calls :meth:`exchange` to run one
       synchronous round;
     * **superstep style** — the driver calls :meth:`superstep` with a
-      declarative :class:`~repro.mpc.program.SuperstepProgram` (or a legacy
-      per-machine closure) which reads the inbox, stages outgoing messages
-      and returns shared-state deltas; the cluster merges the deltas at the
-      barrier and delivers the staged messages as one round.
+      declarative :class:`~repro.mpc.program.SuperstepProgram` which reads
+      the inbox, stages outgoing messages and returns shared-state deltas;
+      the cluster merges the deltas at the barrier and delivers the staged
+      messages as one round.
 
     Every delivered round is recorded in the :class:`MetricsLedger`.  The
     per-round I/O cap of the model (each machine sends and receives at most
@@ -161,14 +160,14 @@ class Cluster:
 
     def superstep(
         self,
-        program: "SuperstepProgram | Callable[[Machine, list[Message]], None]",
+        program: SuperstepProgram,
         *,
         machines: Iterable[str] | None = None,
         shared: dict | None = None,
     ) -> RoundRecord:
         """Run one superstep of ``program`` on each (selected) machine.
 
-        ``program`` is normally a declarative, picklable
+        ``program`` is a declarative, picklable
         :class:`~repro.mpc.program.SuperstepProgram`: its ``run`` receives a
         restricted machine view, the machine's *fully drained* inbox (all
         tags) and the read-only ``shared`` driver state, and returns a delta
@@ -176,25 +175,22 @@ class Cluster:
         is the BSP-style entry point used by the static MPC algorithms,
         where every machine executes the same local code each round.
 
-        The legacy ad-hoc form — a closure ``handler(machine, inbox) ->
-        None`` mutating driver state in place — is still accepted, but such
-        closures cannot cross a process boundary, so only in-process
-        execution strategies apply to them.
+        Anything else (a plain callable included) raises :class:`TypeError`.
 
         *How* the per-machine code executes is an execution-backend strategy
         (:meth:`~repro.runtime.base.ExecutionBackend.run_superstep`):
-        sequentially in registration order by default, fanned across a
-        thread pool by the ``parallel`` backend, or serialized to a process
-        pool by the ``process`` backend.  Programs and handlers must
-        therefore be order-independent — mutate only state owned by the
-        machine they run on; move everything else through messages.
+        sequentially in registration order by default, or inside the
+        long-lived worker processes of a ``resident`` session.  Programs
+        must therefore be order-independent — mutate only state owned by
+        the machine they run on; move everything else through messages.
         """
+        _require_program(program)
         targets = self.machines() if machines is None else [self.machine(mid) for mid in machines]
         return self.backend.run_superstep(self, program, targets, shared if shared is not None else {})
 
     def superstep_block(
         self,
-        programs: "Iterable[SuperstepProgram | Callable[[Machine, list[Message]], None]]",
+        programs: Iterable[SuperstepProgram],
         *,
         machines: Iterable[str] | None = None,
         shared: dict | None = None,
@@ -209,11 +205,15 @@ class Cluster:
         spans (see :func:`repro.mpc.program.fusable_interior`) into a
         single worker-driven block, eliding the per-round driver round
         trip; every other backend just loops.  Returns the per-round
-        records in execution order.
+        records in execution order.  Every element must be a
+        :class:`SuperstepProgram` (checked before any round runs).
         """
+        programs = list(programs)
+        for program in programs:
+            _require_program(program)
         targets = self.machines() if machines is None else [self.machine(mid) for mid in machines]
         return self.backend.run_superstep_block(
-            self, list(programs), targets, shared if shared is not None else {}
+            self, programs, targets, shared if shared is not None else {}
         )
 
     def discard_undelivered(self) -> None:
@@ -330,4 +330,12 @@ class Cluster:
         return (
             f"Cluster(machines={len(self._machines)}, S={self.config.machine_memory}, "
             f"backend={self.backend.name!r})"
+        )
+
+
+def _require_program(program: object) -> None:
+    if not isinstance(program, SuperstepProgram):
+        raise TypeError(
+            f"superstep expects a SuperstepProgram, got {type(program).__name__}; "
+            "express the per-machine code as a module-level SuperstepProgram subclass"
         )

@@ -5,8 +5,7 @@ program's AST and compares ``shared_reads`` / ``store_reads`` /
 ``shared_writes`` / ``delta_scope`` against what ``run`` and ``apply``
 appear to touch.  This module is the *dynamic* half of the same net: with
 ``REPRO_CHECK_CONTRACTS=1`` in the environment, the in-process execution
-strategies (the sequential default and the ``parallel`` thread pool) wrap
-every program invocation in recording views that
+strategy wraps every program invocation in recording views that
 
 * **observe** — every shared key ``run`` reads, every store prefix it
   loads, every shared key ``apply`` touches is recorded per program class
@@ -15,8 +14,8 @@ every program invocation in recording views that
 * **enforce worker parity** — an undeclared ``shared[key]`` read raises
   :class:`KeyError` and an undeclared ``shared.get`` / ``ctx.load``
   returns its default, *exactly* what the same code would see in a
-  ``process``/``resident`` worker holding only the declared slice.  The
-  historical asymmetry ("reading an undeclared key works in-process but
+  ``resident`` worker holding only the declared slice.  The historical
+  asymmetry ("reading an undeclared key works in-process but
   raises in a worker") disappears the moment checking is on;
 * **fail loudly where a worker would silently diverge** — ``apply``
   writing an undeclared shared key, or a ``reads_inbox = False`` program
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 #: environment variable that switches the shadow oracle on for the
-#: in-process execution strategies.
+#: in-process execution strategy.
 CHECK_ENV_VAR = "REPRO_CHECK_CONTRACTS"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -75,8 +74,7 @@ class ContractObservation:
     Accumulated across every checked superstep of the class (all machines,
     all rounds, all clusters), so after a full algorithm run the sets are
     the runtime ground truth the static analyzer's extraction is compared
-    against.  ``set.add`` is atomic under the GIL, so the thread-pooled
-    strategy records into the same observation without extra locking.
+    against.
     """
 
     __slots__ = (
@@ -311,7 +309,7 @@ class GuardedInbox(list):
     """An inbox stand-in for ``reads_inbox = False`` programs.
 
     Resident sessions drain such inboxes driver-side and hand the worker an
-    empty list; under contract checking the in-process strategies hand the
+    empty list; under contract checking the in-process strategy hands the
     program this guard instead, so a program that lied about
     ``reads_inbox`` fails loudly rather than silently behaving differently
     across backends.  (``bool(inbox)``/``len(inbox)`` stay honest — they

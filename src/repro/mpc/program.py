@@ -1,18 +1,11 @@
 """Declarative, picklable superstep programs.
 
-The historical way to express a BSP superstep was an ad-hoc closure
-``handler(machine, inbox) -> None`` capturing the driver's shared state.
-Closures are perfect for the sequential and thread-pooled execution
-strategies — the handler reads and mutates live driver objects — but they
-are a dead end for *process*-level parallelism: a closure over a cluster
-cannot be pickled, so shard jobs can never leave the interpreter and the
-GIL caps the real speedup.
-
-:class:`SuperstepProgram` replaces the closure with a declarative object
-that makes every data dependency explicit, so one program definition runs
-bit-for-bit identically under every execution strategy — sequential,
-thread-pooled, or shipped to a :class:`~concurrent.futures.ProcessPoolExecutor`
-worker by the ``process`` backend:
+A superstep is expressed as a declarative :class:`SuperstepProgram` —
+never as a closure over driver state, which could not be pickled into a
+worker process.  The program makes every data dependency explicit, so one
+program definition runs bit-for-bit identically under every execution
+strategy — sequentially in the driver, or shipped to the long-lived worker
+processes of the ``resident`` backend:
 
 * **program state** — whatever the per-machine code needs that is constant
   over the run (owner maps, worker ids, seeds) lives on the program
@@ -45,11 +38,11 @@ touch the live mapping in-process; in a worker it merely touches the
 shipped copy and is discarded.  Anything observable must travel through
 the delta.
 
-Programs must also be **frozen once the first superstep runs**: the
-``process`` backend serializes the program per superstep, and in-process
-strategies use the live object, so post-construction mutation would make
-the strategies diverge.  Per-round scalars (round numbers, phase flags)
-belong in the shared state, not on the program.
+Programs must also be **frozen once the first superstep runs**: resident
+sessions pickle the program once and ship it to their workers, and
+in-process strategies use the live object, so post-construction mutation
+would make the strategies diverge.  Per-round scalars (round numbers,
+phase flags) belong in the shared state, not on the program.
 
 The delta-replay contract
 -------------------------
@@ -87,8 +80,8 @@ diverges three backends deep.  Two tools keep them honest:
   program class in the tree against its declarations — rule codes RP101
   (undeclared shared read) through RP108, run in CI next to ruff;
 * ``REPRO_CHECK_CONTRACTS=1`` (:mod:`repro.mpc.contract`) makes the
-  sequential and thread strategies execute programs against recording
-  views with worker-parity semantics, so the same undeclared read raises
+  sequential strategy execute programs against recording views with
+  worker-parity semantics, so the same undeclared read raises
   in-process exactly where a worker would raise, and tests can assert
   the static findings match the runtime-observed reads and writes.
 """
@@ -274,10 +267,10 @@ class SuperstepProgram(abc.ABC):
     #: worker-driven round block (see :func:`fusable_interior`).  ``True``
     #: marks a phase whose sends the driver aggregates (proposal
     #: accept/reject scans); such a phase can only ever *end* a fused
-    #: block, with its sends funneled back on the block reply.  ``None``
-    #: (the default) means unknown/dynamic — never fused, and resident
-    #: sessions keep the adaptive flush-then-demote behaviour.
-    driver_reads_sends: bool | None = None
+    #: block, with its sends funneled back on the block reply.  ``True`` is
+    #: the default because it is always correct: a phase that does not
+    #: declare ``False`` keeps every send on the driver path.
+    driver_reads_sends: bool = True
 
     def session_keys(self) -> tuple[str, ...]:
         """All shared keys a resident session must keep in sync for this program.
@@ -338,7 +331,7 @@ def fusable_interior(program: "SuperstepProgram") -> bool:
     * no :attr:`~SuperstepProgram.driver_local` aggregation (that is
       driver-side work by definition);
     * the driver provably never reads this round's sends
-      (``driver_reads_sends is False``) — the messages only feed the next
+      (``driver_reads_sends = False``) — the messages only feed the next
       round's inboxes, which live at the workers during a block;
     * the barrier's delta merge is worker-reproducible: ``owner``-scoped
       deltas are applied by the owning slot itself (owned shared slices
@@ -347,7 +340,7 @@ def fusable_interior(program: "SuperstepProgram") -> bool:
       programs qualify only with the default no-op ``apply`` (a real
       global merge would have to reach *every* slot mid-block).
     """
-    if program.driver_local or program.driver_reads_sends is not False:
+    if program.driver_local or program.driver_reads_sends:
         return False
     scope = program.delta_scope
     if scope == "owner":
@@ -361,14 +354,8 @@ def fusable_terminal(program: "SuperstepProgram") -> bool:
     The terminal round still executes inside the workers (its inbox is
     worker-held frames from the block's earlier rounds), but its sends may
     return to the driver on the block reply — so ``driver_reads_sends``
-    may be ``True`` (declared driver-read phases funnel their sends), it
-    just must not be ``None`` (unknown means the adaptive driver-side
-    machinery must stay in charge).  Deltas are merged driver-side after
-    the block, exactly like an unfused round, so any worker-replayable
-    ``delta_scope`` qualifies.
+    may be ``True`` (driver-read phases funnel their sends).  Deltas are
+    merged driver-side after the block, exactly like an unfused round, so
+    any worker-replayable ``delta_scope`` qualifies.
     """
-    return (
-        not program.driver_local
-        and program.driver_reads_sends is not None
-        and program.delta_scope in ("owner", "global")
-    )
+    return not program.driver_local and program.delta_scope in ("owner", "global")

@@ -24,22 +24,13 @@ backends are registered:
     :mod:`repro.runtime.sharding` — the machine map partitioned into shards
     (:class:`ShardPlan`), per-shard staging and word aggregates, fused
     single-pass delivery, merged back into reference order each round;
-``parallel``
-    :mod:`repro.runtime.parallel` — the sharded transport plus superstep
-    execution fanned across a thread pool with a deterministic merge
-    barrier at the exchange;
-``process``
-    :mod:`repro.runtime.process` — the sharded transport plus
-    :class:`~repro.mpc.program.SuperstepProgram` shard jobs serialized to a
-    spawn-safe process pool: declared state in, staged messages and deltas
-    out, merged at the same barrier;
 ``resident``
-    :mod:`repro.runtime.resident` — the process backend plus session-scoped
+    :mod:`repro.runtime.resident` — the sharded backend plus session-scoped
     *resident* worker state: long-lived worker slots keep shard stores and
     the shared slice in memory for a whole run
     (:meth:`~repro.mpc.cluster.Cluster.session`), the driver ships only
     per-round deltas, and live re-plans migrate shard state between
-    workers.
+    workers.  Outside a session it runs supersteps like ``sharded``.
 
 Further backends (distributed shards) plug in by registering a new
 :class:`~repro.runtime.base.ExecutionBackend` subclass — algorithm code
@@ -59,8 +50,6 @@ from repro.runtime.base import (
     resolve_backend,
 )
 from repro.runtime.fast import CachedStorage, FastBackend, FastTransport
-from repro.runtime.parallel import ParallelBackend
-from repro.runtime.process import ProcessBackend
 from repro.runtime.reference import ReferenceBackend, ReferenceStorage, ReferenceTransport
 from repro.runtime.resident import ResidentBackend, ResidentSession
 from repro.runtime.sharding import DEFAULT_SHARD_COUNT, ShardedBackend, ShardedTransport, ShardPlan
@@ -84,8 +73,6 @@ __all__ = [
     "ShardedBackend",
     "ShardedTransport",
     "DEFAULT_SHARD_COUNT",
-    "ParallelBackend",
-    "ProcessBackend",
     "ResidentBackend",
     "ResidentSession",
 ]

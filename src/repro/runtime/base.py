@@ -43,18 +43,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from repro.exceptions import MessageSizeExceeded, UnknownMachineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from typing import Union
-
     from repro.config import DMPCConfig
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
     from repro.mpc.message import Message
     from repro.mpc.metrics import RoundRecord
     from repro.mpc.program import SuperstepProgram
-
-    #: what :meth:`Cluster.superstep` accepts: a declarative program, or the
-    #: legacy ad-hoc closure form (in-process execution strategies only).
-    SuperstepHandler = Union[SuperstepProgram, Callable[["Machine", "list[Message]"], None]]
 
 __all__ = [
     "MachineStorage",
@@ -83,7 +77,7 @@ class MachineStorage(abc.ABC):
 
     :attr:`version` is a monotone mutation counter: concrete
     implementations bump it on every ``store``/``delete``/``clear``.  It is
-    never part of the simulation — the process backend uses it to know when
+    never part of the simulation — the resident backend uses it to know when
     a serialized store snapshot shipped to worker processes has gone stale.
     """
 
@@ -328,19 +322,17 @@ class ExecutionBackend(abc.ABC):
     def run_superstep(
         self,
         cluster: "Cluster",
-        program: "SuperstepHandler",
+        program: "SuperstepProgram",
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "RoundRecord":
         """Execute one BSP superstep: per-machine code, barrier, one exchange.
 
         This is the execution-strategy hook behind
-        :meth:`~repro.mpc.cluster.Cluster.superstep`.  ``program`` is either
-        a declarative :class:`~repro.mpc.program.SuperstepProgram` — whose
-        per-machine ``run`` may execute sequentially, on a thread pool, or
-        in another process — or the legacy ad-hoc closure form
-        ``handler(machine, inbox) -> None``, which is confined to in-process
-        strategies (closures cannot cross a process boundary).
+        :meth:`~repro.mpc.cluster.Cluster.superstep`.  ``program`` is a
+        declarative :class:`~repro.mpc.program.SuperstepProgram` whose
+        per-machine ``run`` may execute in the driver or in a worker
+        process.
 
         The default strategy runs the per-machine code sequentially in the
         given (registration) order; program deltas are merged at the
@@ -349,49 +341,44 @@ class ExecutionBackend(abc.ABC):
         overriding strategy reproduces, so the delivered round is
         bit-for-bit identical everywhere.
 
-        Handler contract (what makes overriding legal): per-machine code may
+        Program contract (what makes overriding legal): per-machine code may
         read shared driver state freely but must only *mutate* state owned
-        by the machine it runs on — via deltas for programs, directly for
-        closures; any information flowing to another machine's code must be
-        sent as a message.  Code honouring this is order-independent, so
-        every strategy yields the bit-for-bit identical round.
+        by the machine it runs on, via deltas; any information flowing to
+        another machine's code must be sent as a message.  Code honouring
+        this is order-independent, so every strategy yields the bit-for-bit
+        identical round.
         """
-        from repro.mpc.program import LiveMachineContext, SuperstepProgram
+        from repro.mpc.program import LiveMachineContext
 
-        if isinstance(program, SuperstepProgram):
-            # Shadow oracle (REPRO_CHECK_CONTRACTS=1): wrap the program's
-            # inputs in recording views with worker-parity semantics, so an
-            # undeclared shared read raises in-process exactly like it
-            # would against a worker's shipped slice.  Off by default —
-            # the wrappers cost a lookup per access on the hottest path.
-            from repro.mpc.contract import (
-                checked_apply_view,
-                checked_run_inputs,
-                contract_checking_enabled,
-            )
+        # Shadow oracle (REPRO_CHECK_CONTRACTS=1): wrap the program's inputs
+        # in recording views with worker-parity semantics, so an undeclared
+        # shared read raises in-process exactly like it would against a
+        # worker's shipped slice.  Off by default — the wrappers cost a
+        # lookup per access on the hottest path.
+        from repro.mpc.contract import (
+            checked_apply_view,
+            checked_run_inputs,
+            contract_checking_enabled,
+        )
 
-            checking = contract_checking_enabled()
-            deltas = []
-            for machine in targets:
-                inbox = machine.drain()
-                ctx: "Any" = LiveMachineContext(machine)
-                run_shared: "Any" = shared
-                if checking:
-                    ctx, inbox, run_shared = checked_run_inputs(program, ctx, inbox, shared)
-                deltas.append(program.run(ctx, inbox, run_shared))
-            apply_shared = checked_apply_view(program, shared) if checking else shared
-            for machine, delta in zip(targets, deltas):
-                program.apply(apply_shared, machine.machine_id, delta)
-            return cluster.exchange()
+        checking = contract_checking_enabled()
+        deltas = []
         for machine in targets:
             inbox = machine.drain()
-            program(machine, inbox)
+            ctx: "Any" = LiveMachineContext(machine)
+            run_shared: "Any" = shared
+            if checking:
+                ctx, inbox, run_shared = checked_run_inputs(program, ctx, inbox, shared)
+            deltas.append(program.run(ctx, inbox, run_shared))
+        apply_shared = checked_apply_view(program, shared) if checking else shared
+        for machine, delta in zip(targets, deltas):
+            program.apply(apply_shared, machine.machine_id, delta)
         return cluster.exchange()
 
     def run_superstep_block(
         self,
         cluster: "Cluster",
-        programs: "list[SuperstepHandler]",
+        programs: "list[SuperstepProgram]",
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "list[RoundRecord]":

@@ -222,7 +222,7 @@ class FastBackend(ExecutionBackend):
 
     @property
     def accounting_policy_name(self) -> str:
-        # Same policy as the sharded/parallel backends at the same sampling
+        # Same policy as the sharded/resident backends at the same sampling
         # stride, so clusters on any aggregate backend may share a ledger.
         return f"scalar-aggregate/k={getattr(self.config, 'metrics_sampling', 0)}"
 

@@ -1,11 +1,11 @@
 """The resident execution backend — persistent workers, delta shipping.
 
-The ``process`` backend made superstep programs cross the process boundary,
-but it ships the world every round: each superstep re-pickles the declared
-``shared_reads`` slice and sends every machine's store snapshot bytes down
-the pipe, even when neither changed.  That is exactly backwards from the
-paper's DMPC economics — machines *hold* their local state across rounds;
-only messages move.  This backend restores that economics for the
+Superstep programs are picklable (:mod:`repro.mpc.program`), so their
+per-machine code can run in other processes.  Shipping the world every
+round — re-pickling the declared ``shared_reads`` slice and every
+machine's store snapshot per superstep — would be exactly backwards from
+the paper's DMPC economics: machines *hold* their local state across
+rounds; only messages move.  This backend keeps that economics for the
 simulator's own execution substrate:
 
 * **long-lived workers own shard state** — each worker slot is a dedicated
@@ -22,16 +22,18 @@ simulator's own execution substrate:
   shared keys the driver explicitly invalidated
   (:meth:`~repro.runtime.base.ExecutionSession.touch`) and store snapshots
   whose :attr:`~repro.runtime.base.MachineStorage.version` epoch moved;
-* **everything else is the process backend** — sends are recorded in the
-  worker, replayed driver-side in target order, deltas merged at the same
-  deterministic barrier, then one exchange: bit-for-bit the round every
-  other backend delivers.
+* **the barrier stays the driver's** — deltas are merged at the same
+  deterministic barrier every backend uses, then one exchange: bit-for-bit
+  the round every other backend delivers.  Programs whose sends the
+  driver reads (``driver_reads_sends = True``, the default) *funnel*: the
+  worker records each send and the driver replays it into its outbox in
+  target order.
 
-* **messages route slot-locally** — the historical resident path still
-  funnelled every message through the driver: worker-recorded sends were
-  replayed into driver outboxes, exchanged centrally, then shipped back
-  down as next round's inboxes — two pipe crossings per message.  With a
-  backend accounting policy governing the ledger, workers now *keep* each
+* **messages route slot-locally** — funnelling every message through the
+  driver costs two pipe crossings per message (replayed into driver
+  outboxes, exchanged centrally, shipped back down as next round's
+  inboxes).  For programs declaring ``driver_reads_sends = False``, with a
+  backend accounting policy governing the ledger, workers *keep* each
   message frame: a frame whose receiver lives on the sending slot is
   staged worker-locally (it never crosses the pipe and is never
   re-encoded), a cross-slot frame rides a pre-sized
@@ -76,8 +78,8 @@ keys and stale stores, run the machines, route their frames),
 another worker) and :func:`_session_close` (release everything).
 Sessions are driven from :class:`ResidentSession`, which
 :meth:`Cluster.session` opens around a superstep round loop; without an
-active session (or with a legacy closure handler) the backend behaves
-exactly like ``process``.  The slot count is bounded by the host's real
+active session (or after a worker died mid-session) the backend behaves
+exactly like ``sharded``.  The slot count is bounded by the host's real
 CPU parallelism unless ``DMPCConfig.resident_slots`` pins it — a single
 resident slot is still the full residency + locality win (every message
 is then slot-local), just without fan-out.
@@ -105,7 +107,7 @@ import itertools
 import os
 import pickle
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.config import resolve_fuse_rounds
 from repro.exceptions import ProtocolError
@@ -117,10 +119,11 @@ from repro.mpc.program import (
     WorkerMachineContext,
     fusable_interior,
     fusable_terminal,
+    store_subset,
 )
 from repro.mpc.sizing import fast_word_size
 from repro.runtime.base import ExecutionSession, register_backend
-from repro.runtime.process import ProcessBackend
+from repro.runtime.sharding import ShardedBackend
 from repro.runtime.wire import (
     FRAME_HEADER,
     ShmRing,
@@ -138,20 +141,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.machine import Machine
     from repro.mpc.message import Message
     from repro.mpc.metrics import RoundRecord
-    from repro.runtime.base import SuperstepHandler
     from repro.runtime.sharding import ShardPlan
 
 __all__ = ["ResidentBackend", "ResidentSession", "ResidentWorkerError"]
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
-
-# The pipe codec and inbox flattening live in repro.runtime.wire now (the
-# process backend shares them); the historical private names remain the
-# idiom inside this module.
-_encode = encode_obj
-_decode = decode_obj
-_pack_inbox = pack_inbox
-_unpack_inbox = unpack_inbox
 
 
 class ResidentWorkerError(RuntimeError):
@@ -406,17 +400,9 @@ def _session_run_round(
 ) -> Any:
     """Protocol op 2: sync resident state, then run this slot's machines.
 
-    Ordering is the heart of the sync: (1) replay the previous barriers'
-    merged deltas — the same ``(machine_id, delta)`` sequence, in the same
-    target order, through the same ``program.apply`` the driver ran — then
-    (2) overwrite with ``shared_init``, the fresh values of keys the driver
-    invalidated (whose snapshots already contain every merged delta), then
-    (3) refresh store snapshots whose version epoch moved.  Step 2 after
-    step 1 makes refreshes idempotent with replay; a key is never left
-    reflecting a delta the driver's copy has superseded.
-
-    Without ``routing`` (the legacy shape) every send is recorded and
-    returned for driver-side replay.  With ``routing`` the *worker* routes:
+    The sync is :func:`_sync_session_state`.  Without ``routing`` (the
+    funnel shape) every send is recorded and returned for driver-side
+    replay.  With ``routing`` the *worker* routes:
     same-slot sends land straight in this worker's pending map, cross-slot
     sends ride the shm ring to the destination slot (pipe fallback on
     overflow), and only per-pair word aggregates — plus the few frames that
@@ -432,10 +418,10 @@ def _session_run_round(
                   frames due this round are consumed *and discarded*,
                   mirroring the driver-side drain of the shipped inboxes;
     ``"funnel"``  hybrid mode for programs whose *sends* the driver reads
-                  (see ``ResidentSession._route_programs``): held frames
-                  are still served worker-locally into the inboxes, but
-                  the staged sends return on the reply in the legacy shape
-                  for driver-side replay instead of being routed.
+                  (``driver_reads_sends = True``): held frames are still
+                  served worker-locally into the inboxes, but the staged
+                  sends return on the reply in the funnel shape for
+                  driver-side replay instead of being routed.
 
     Serving order restores the reference semantics exactly: the shipped
     driver-side inbox first (those messages are from strictly earlier
@@ -456,37 +442,41 @@ def _session_run_round(
         for machine_id, packed_inbox in batch:
             store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
             ctx = _SizingMachineContext(machine_id, store)
-            delta = program.run(ctx, _unpack_inbox(packed_inbox), state.shared)
+            delta = program.run(ctx, unpack_inbox(packed_inbox), state.shared)
             results.append((machine_id, ctx.sent, delta))
         return results
-    return _run_routed(state, program, prefixes, batch, routing)
+    return _run_routed(state, program, batch, routing)
 
 
-def _run_routed(
+def _run_machines(
     state: _SessionState,
     program: SuperstepProgram,
-    prefixes: "tuple[str, ...] | None",
     batch: "list[tuple[str, Any]]",
-    routing: "dict[str, Any]",
-) -> tuple:
-    """The slot-routed half of :func:`_session_run_round` (see its docstring)."""
-    epoch = routing["epoch"]
-    new_map = routing.get("map")
-    if new_map is not None:
-        state.machine_slots = new_map
-    machine_slots = state.machine_slots
-    _ingest_rings(state)
-    pending = state.pending
-    for frame in routing["forward"]:
-        pending.setdefault(frame[4], []).append(frame)
-    drop_inbox = routing["drop_inbox"]
-    funnel = routing.get("funnel", False)
+    epoch: int,
+    *,
+    drop_inbox: bool,
+    funnel: bool,
+    shipped_inbox: bool = True,
+) -> "tuple[list[tuple[str, Any]], list[list[tuple]], list[tuple]]":
+    """Run one slot-routed round's machines; nothing is routed yet.
 
-    # Phase 1 — run every machine; nothing is routed until all succeed, so
-    # a program exception leaves no half-routed round behind.
+    Serving order restores the reference semantics: the driver-shipped
+    inbox first (``shipped_inbox=False`` for fused rounds after the first,
+    which have none by construction), then this worker's due pending frames
+    (``epoch <`` the current round) in global sort order.  Returns
+    ``(deltas, staged, funneled)``: ``funnel`` rounds fill only
+    ``funneled`` (``(machine id, recorded sends, delta)`` for driver-side
+    replay), routed rounds the other two.  Because routing happens only
+    after every machine ran, a program exception leaves no half-routed
+    round behind.
+    """
+    prefixes = program.store_reads
+    pending = state.pending
+    machine_slots = state.machine_slots
+    shared = state.shared
     deltas: "list[tuple[str, Any]]" = []
     staged: "list[list[tuple]]" = []
-    funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
+    funneled: "list[tuple]" = []
     for machine_id, packed_inbox in batch:
         held = pending.get(machine_id)
         ready: "list[tuple]" = []
@@ -501,27 +491,36 @@ def _run_routed(
         if drop_inbox:
             inbox: "list[Message]" = []
         else:
-            inbox = _unpack_inbox(packed_inbox)
+            inbox = unpack_inbox(packed_inbox) if shipped_inbox else []
             if ready:
                 ready.sort(key=_frame_sort_key)
                 inbox.extend(_frame_message(f) for f in ready)
         store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
         if funnel:
-            # Hybrid: the held frames above were served locally, but this
-            # program's sends go back to the driver in the legacy shape —
-            # the driver reads them before the next worker round could.
             sctx = _SizingMachineContext(machine_id, store)
-            funneled.append((machine_id, sctx.sent, program.run(sctx, inbox, state.shared)))
+            funneled.append((machine_id, sctx.sent, program.run(sctx, inbox, shared)))
             continue
         ctx = _RoutingMachineContext(machine_id, store, epoch, machine_slots[machine_id][0])
-        deltas.append((machine_id, program.run(ctx, inbox, state.shared)))
+        deltas.append((machine_id, program.run(ctx, inbox, shared)))
         staged.append(ctx.sent)
-    if funnel:
-        return ("funneled", funneled)
+    return deltas, staged, funneled
 
-    # Phase 2 — commit: route every staged frame and aggregate the round
-    # accounting the driver's exchange needs (per-pair words/count/max).
-    my_slot = routing["slot"]
+
+def _commit_round(
+    state: _SessionState, deltas: "list[tuple[str, Any]]", staged: "list[list[tuple]]", my_slot: int
+) -> tuple:
+    """Route every staged frame and aggregate the round's accounting.
+
+    Same-slot frames go to this worker's pending map, cross-slot frames to
+    the shm ring of their destination slot (``overflow`` when it does not
+    fit, for the driver's pipe forward path), frames for machines outside
+    the routing map to ``fallback``.  Returns the ``("routed", deltas,
+    per-pair (sender, receiver, words, count, max words), traffic,
+    overflow, fallback)`` reply the driver's exchange rebuilds the round
+    record from.
+    """
+    machine_slots = state.machine_slots
+    pending = state.pending
     rings_out = state.rings_out
     pairs: "dict[tuple[str, str], list[int]]" = {}
     local_count = 0
@@ -568,6 +567,29 @@ def _run_routed(
         overflow,
         fallback,
     )
+
+
+def _run_routed(
+    state: _SessionState,
+    program: SuperstepProgram,
+    batch: "list[tuple[str, Any]]",
+    routing: "dict[str, Any]",
+) -> tuple:
+    """The slot-routed half of :func:`_session_run_round` (see its docstring)."""
+    epoch = routing["epoch"]
+    new_map = routing.get("map")
+    if new_map is not None:
+        state.machine_slots = new_map
+    _ingest_rings(state)
+    for frame in routing["forward"]:
+        state.pending.setdefault(frame[4], []).append(frame)
+    funnel = routing.get("funnel", False)
+    deltas, staged, funneled = _run_machines(
+        state, program, batch, epoch, drop_inbox=routing["drop_inbox"], funnel=funnel
+    )
+    if funnel:
+        return ("funneled", funneled)
+    return _commit_round(state, deltas, staged, routing["slot"])
 
 
 def _session_run_block(
@@ -621,10 +643,8 @@ def _session_run_block(
     new_map = block.get("map")
     if new_map is not None:
         state.machine_slots = new_map
-    machine_slots = state.machine_slots
-    pending = state.pending
     for frame in block["forward"]:
-        pending.setdefault(frame[4], []).append(frame)
+        state.pending.setdefault(frame[4], []).append(frame)
     rounds = block["rounds"]
     barrier: "ShmRoundBarrier | None" = None
     base = 0
@@ -641,7 +661,6 @@ def _session_run_block(
         peers = [slot for slot in participants if slot != my_slot]
     checking = contract_checking_enabled()
     shared = state.shared
-    rings_out = state.rings_out
     last_round = len(rounds) - 1
     per_round: "list[tuple]" = []
     completed = 0
@@ -649,39 +668,10 @@ def _session_run_block(
     for r, (program_key, drop_inbox, funnel) in enumerate(rounds):
         epoch = epoch0 + r
         program = state.programs[program_key]
-        prefixes = program.store_reads
         _ingest_rings(state)
-        deltas: "list[tuple[str, Any]]" = []
-        staged: "list[list[tuple]]" = []
-        funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
-        for machine_id, packed_inbox in batch:
-            held = pending.get(machine_id)
-            ready: "list[tuple]" = []
-            if held:
-                ready = [f for f in held if f[0] < epoch]
-                if ready:
-                    later = [f for f in held if f[0] >= epoch]
-                    if later:
-                        pending[machine_id] = later
-                    else:
-                        del pending[machine_id]
-            if drop_inbox:
-                inbox: "list[Message]" = []
-            else:
-                # Driver-shipped inboxes exist only for round 0; every
-                # later round's messages are worker frames by construction.
-                inbox = _unpack_inbox(packed_inbox) if r == 0 else []
-                if ready:
-                    ready.sort(key=_frame_sort_key)
-                    inbox.extend(_frame_message(f) for f in ready)
-            store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
-            if funnel:
-                sctx = _SizingMachineContext(machine_id, store)
-                funneled.append((machine_id, sctx.sent, program.run(sctx, inbox, shared)))
-                continue
-            ctx = _RoutingMachineContext(machine_id, store, epoch, machine_slots[machine_id][0])
-            deltas.append((machine_id, program.run(ctx, inbox, shared)))
-            staged.append(ctx.sent)
+        deltas, staged, funneled = _run_machines(
+            state, program, batch, epoch, drop_inbox=drop_inbox, funnel=funnel, shipped_inbox=(r == 0)
+        )
         if funnel:
             # A funnel round is always the span's terminal round: it stages
             # nothing worker-side, so there is no commit and no stop risk.
@@ -690,53 +680,10 @@ def _session_run_block(
             if barrier is not None:
                 barrier.announce(my_slot, base + r + 1)
             break
-        # Commit — identical accounting to _run_routed's phase 2.
-        pairs: "dict[tuple[str, str], list[int]]" = {}
-        local_count = 0
-        ring_frames = 0
-        ring_bytes = 0
-        overflow: "list[tuple[int, tuple]]" = []
-        fallback: "list[tuple]" = []
-        for frames in staged:
-            for frame in frames:
-                receiver = frame[4]
-                words = frame[7]
-                key = (frame[3], receiver)
-                stats = pairs.get(key)
-                if stats is None:
-                    pairs[key] = [words, 1, words]
-                else:
-                    stats[0] += words
-                    stats[1] += 1
-                    if words > stats[2]:
-                        stats[2] = words
-                info = machine_slots.get(receiver)
-                if info is None:
-                    fallback.append(frame)
-                elif info[1] == my_slot:
-                    pending.setdefault(receiver, []).append(frame)
-                    local_count += 1
-                else:
-                    ring = rings_out.get(info[1])
-                    if ring is not None and words * 8 + FRAME_HEADER <= ring.capacity + 64:
-                        blob = encode_obj(frame)
-                        if ring.write(blob):
-                            ring_frames += 1
-                            ring_bytes += len(blob) + FRAME_HEADER
-                            continue
-                    overflow.append((info[1], frame))
-        per_round.append(
-            (
-                "routed",
-                deltas,
-                [(s, rcv, v[0], v[1], v[2]) for (s, rcv), v in pairs.items()],
-                (local_count, ring_frames, ring_bytes, len(overflow)),
-                overflow,
-                fallback,
-            )
-        )
+        reply = _commit_round(state, deltas, staged, my_slot)
+        per_round.append(reply)
         completed = r + 1
-        if overflow:
+        if reply[4]:
             # Overflowed frames need the driver's pipe forward path before
             # their consuming round — the block ends at this boundary.
             stopped = True
@@ -808,12 +755,12 @@ def _worker_main(conn: "Connection") -> None:
     }
     while True:
         try:
-            request = _decode(conn.recv_bytes())
+            request = decode_obj(conn.recv_bytes())
         except (EOFError, OSError):
             return
         if request[0] == "stop":
             try:
-                conn.send_bytes(_encode(("ok", True)))
+                conn.send_bytes(encode_obj(("ok", True)))
             except (BrokenPipeError, OSError):
                 pass  # driver already closed its end; exit cleanly anyway
             return
@@ -822,10 +769,10 @@ def _worker_main(conn: "Connection") -> None:
         except BaseException as exc:  # noqa: BLE001 - shipped to the driver
             result = ("err", exc)
         try:
-            blob = _encode(result)
+            blob = encode_obj(result)
         except Exception:  # unserializable result/exception: keep the
             # original diagnostic (its repr), not the encoder's complaint
-            blob = _encode(("err", RuntimeError(f"unserializable worker {result[0]}: {result[1]!r}")))
+            blob = encode_obj(("err", RuntimeError(f"unserializable worker {result[0]}: {result[1]!r}")))
         conn.send_bytes(blob)
 
 
@@ -866,13 +813,13 @@ class _SlotWorker:
     def request(self, op: tuple) -> None:
         """Pipeline one protocol request (reply collected by :meth:`reply`)."""
         try:
-            self.conn.send_bytes(_encode(op))
+            self.conn.send_bytes(encode_obj(op))
         except (BrokenPipeError, OSError) as exc:
             raise ResidentWorkerError(f"resident worker slot {self.index} died") from exc
 
     def reply(self) -> Any:
         try:
-            status, value = _decode(self.conn.recv_bytes())
+            status, value = decode_obj(self.conn.recv_bytes())
         except (EOFError, OSError) as exc:
             raise ResidentWorkerError(f"resident worker slot {self.index} died") from exc
         if status == "err":
@@ -905,7 +852,7 @@ class _SlotWorker:
 
     def stop(self) -> None:
         try:
-            self.conn.send_bytes(_encode(("stop",)))
+            self.conn.send_bytes(encode_obj(("stop",)))
             self.conn.close()
         except OSError:
             pass
@@ -1058,18 +1005,6 @@ class ResidentSession(ExecutionSession):
         self._forward: "list[list[tuple]]" = [[] for _ in range(slots)]
         #: union of receivers with any worker- or driver-held routed frame
         self._pending_ids: set[str] = set()
-        #: program keys whose frames are currently held away from the driver
-        #: — the blame set when a driver-side read forces a flush
-        self._pending_keys: set[int] = set()
-        #: program key -> False once its routed frames were flushed back for
-        #: a driver-side read.  Routing such a program's sends away from the
-        #: driver is pure loss — the bodies cross the pipe *twice* (stage at
-        #: the worker, then the flush round trip) instead of riding the
-        #: round reply once — so the session adapts: the first wasted round
-        #: pays the lesson and every later round of that program takes the
-        #: legacy funnel.  Worker-consumed programs (the common superstep
-        #: shape) are never flushed and stay routed for the whole session.
-        self._route_programs: dict[int, bool] = {}
         #: True while round requests are being built under the slot locks —
         #: the drain() hook must not re-enter the workers then
         self._suppress_sync = False
@@ -1118,26 +1053,35 @@ class ResidentSession(ExecutionSession):
     def _slot_of(self, machine: "Machine") -> int:
         return self.transport.shard_of(machine) % self.slot_count
 
-    def _round_request(
+    def _sync_payload(
         self,
         slot: _SlotState,
-        program: SuperstepProgram,
-        program_key: int,
+        programs: "list[SuperstepProgram]",
+        program_keys: "list[int]",
         machines: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> tuple:
-        """Assemble one slot's ``round`` request: only what is new or stale."""
+        """What one slot needs before running ``programs``: only what is new or stale.
+
+        Returns ``(new_programs, replay, shared_init, store_updates,
+        batch)``, the sync half of both the ``round`` and the ``run_block``
+        request (see :func:`_sync_session_state`), and commits the slot's
+        bookkeeping as if the request had been delivered.  ``batch`` holds
+        the drained inboxes for the first program.
+        """
         backend = self.backend
-        # Programs this round needs at the slot: the one running, plus any
-        # whose backlog deltas will be replayed.
-        needed_programs = {program_key}
+        # Programs the slot needs: the ones running, plus any whose backlog
+        # deltas will be replayed.
+        needed_programs = set(program_keys)
         needed_programs.update(pkey for pkey, _ in slot.pending)
         new_programs = {
             key: self._programs[key][1] for key in sorted(needed_programs - slot.shipped_programs)
         }
 
         # Shared keys those programs read or merge into.
-        needed = set(program.session_keys())
+        needed: "set[str]" = set()
+        for program in programs:
+            needed.update(program.session_keys())
         for pkey, _ in slot.pending:
             needed.update(self._programs[pkey][0].session_keys())
         new_keys = needed - slot.resident_keys
@@ -1157,27 +1101,30 @@ class ResidentSession(ExecutionSession):
             shared_init = {key: shared[key] for key in sorted(init_keys)}
         except KeyError as exc:
             raise KeyError(
-                f"{type(program).__name__} session needs shared key {exc.args[0]!r} "
+                f"{type(programs[0]).__name__} session needs shared key {exc.args[0]!r} "
                 f"but the session's shared state only has {sorted(shared)!r}"
             ) from None
         slot.resident_keys |= init_keys
         slot.dirty -= init_keys
 
         # Store snapshots whose version epoch moved (or never shipped).
-        prefixes = program.store_reads
         store_updates = []
-        if prefixes is None or prefixes:
-            for machine in machines:
-                version = machine.storage.version
-                store_key = (machine.machine_id, prefixes)
-                if slot.store_versions.get(store_key) != version:
-                    store_updates.append(
-                        (machine.machine_id, prefixes, version, backend._store_blob(machine, prefixes))
-                    )
-                    slot.store_versions[store_key] = version
+        seen_prefixes: "set[tuple[str, ...] | None]" = set()
+        for program in programs:
+            prefixes = program.store_reads
+            if (prefixes is None or prefixes) and prefixes not in seen_prefixes:
+                seen_prefixes.add(prefixes)
+                for machine in machines:
+                    version = machine.storage.version
+                    store_key = (machine.machine_id, prefixes)
+                    if slot.store_versions.get(store_key) != version:
+                        store_updates.append(
+                            (machine.machine_id, prefixes, version, backend._store_blob(machine, prefixes))
+                        )
+                        slot.store_versions[store_key] = version
 
-        if program.reads_inbox:
-            batch = [(machine.machine_id, _pack_inbox(machine.drain())) for machine in machines]
+        if programs[0].reads_inbox:
+            batch = [(machine.machine_id, pack_inbox(machine.drain())) for machine in machines]
         else:
             # The program never looks at its inbox: drain driver-side (the
             # consumed-inbox semantics stand) and ship empty ones.
@@ -1186,16 +1133,7 @@ class ResidentSession(ExecutionSession):
                 machine.drain()
                 batch.append((machine.machine_id, ()))
         slot.shipped_programs.update(new_programs)
-        return (
-            "round",
-            self.session_id,
-            new_programs,
-            program_key,
-            replay,
-            shared_init,
-            store_updates,
-            batch,
-        )
+        return new_programs, replay, shared_init, store_updates, batch
 
     def _queue_replay(
         self, program: SuperstepProgram, program_key: int, pairs: "list[tuple[Machine, Any]]"
@@ -1255,20 +1193,15 @@ class ResidentSession(ExecutionSession):
         # Slot-local routing needs the transport's fused (factory-bypassing)
         # delivery path — a hand-customised record factory must see real
         # Message streams, and driver-staged sends must not interleave with
-        # worker-routed frames mid-round.  Programs whose sends a driver-side
-        # read previously pulled back (see _route_programs) funnel their
-        # *sends*; frames other programs left at the workers are still served
-        # worker-locally (hybrid "funnel" rounds) when this batch covers
-        # every pending receiver — otherwise exchange delivery behind the
-        # round could slip younger messages into driver inboxes ahead of
-        # older worker-held frames, and we must flush first instead.
+        # worker-routed frames mid-round.  Programs whose sends the driver
+        # reads (``driver_reads_sends``) funnel their *sends*; frames other
+        # programs left at the workers are still served worker-locally
+        # (hybrid "funnel" rounds) when this batch covers every pending
+        # receiver — otherwise exchange delivery behind the round could slip
+        # younger messages into driver inboxes ahead of older worker-held
+        # frames, and we must flush first instead.
         can_route = ledger.record_policy is not None and not self.transport.has_staged()
-        # The adaptive lesson (_route_programs) wins when learned; otherwise
-        # a declared ``driver_reads_sends=True`` skips the wasted
-        # route-then-flush first round and funnels immediately.
-        route_sends = can_route and self._route_programs.get(
-            program_key, program.driver_reads_sends is not True
-        )
+        route_sends = can_route and not program.driver_reads_sends
         funnel = (
             can_route
             and not route_sends
@@ -1277,7 +1210,7 @@ class ResidentSession(ExecutionSession):
         )
         routed = route_sends or funnel
         if not routed and (self._pending_ids or any(self._forward)):
-            # Downgrading to the legacy path this round: every worker-held
+            # Downgrading to the driver path this round: every worker-held
             # frame must reach its driver inbox before the batch drains it.
             self._flush_all()
 
@@ -1291,124 +1224,69 @@ class ResidentSession(ExecutionSession):
             if route_sends and self.slot_count > 1 and self._rings is None:
                 self._ensure_rings()
 
-        # Lock the participating slot workers (in slot order — globally
-        # consistent, so concurrent drivers cannot deadlock) for the whole
-        # request→reply group: workers are process-wide and their pipes are
-        # strictly request/reply aligned, so another thread's traffic must
-        # not interleave with this round's.
-        slot_workers = [(slot_index, _slot_worker(slot_index)) for slot_index in sorted(by_slot)]
-        for _, worker in slot_workers:
-            worker.lock.acquire()
-        self._suppress_sync = True
-        try:
-            # Pipeline phase: every slot gets its request before any reply
-            # is awaited, so worker execution overlaps across slots.  Any
-            # failure in here aborts the round: every already-pipelined
-            # request is drained (its worker still replies once per
-            # request) and the session stops claiming residency — its
-            # bookkeeping may no longer match what the workers hold.
-            # Entries join ``active`` before their first send, so the abort
-            # path sees every request that could have reached a pipe.
-            active: "list[list]" = []  # [slot_index, worker, sent count]
-            slot_index, worker = -1, None
-            try:
-                for slot_index, worker in slot_workers:
-                    slot = self._slots[slot_index]
-                    if slot.worker_generation != worker.generation:
-                        rp = self._remote_pending[slot_index]
-                        if rp:
-                            # The old process held undelivered routed frames.
-                            # Recoverable only when this very round would
-                            # have *discarded* every one of them anyway:
-                            # the program drops its inbox and every pending
-                            # receiver participates (held frames are always
-                            # due by the receiver's next round).
-                            participants = {m.machine_id for m in by_slot[slot_index]}
-                            if not program.reads_inbox and rp <= participants:
-                                rp.clear()
-                            else:
-                                raise ResidentWorkerError(
-                                    f"resident worker slot {slot_index} was respawned "
-                                    f"while holding undelivered slot-routed messages"
-                                )
-                        # the slot's process was (re)spawned underneath
-                        # this session: nothing previously shipped survives
-                        slot.reset_for(worker.generation)
-                    request = self._round_request(slot, program, program_key, by_slot[slot_index], shared)
-                    if routed:
-                        request = request + (
-                            self._routing_payload(slot_index, slot, epoch, program, funnel),
-                        )
-                        rp = self._remote_pending[slot_index]
-                        if rp:
-                            # this round's batch consumes the due frames the
-                            # slot holds for its participating machines
-                            for machine in by_slot[slot_index]:
-                                rp.discard(machine.machine_id)
-                    entry = [slot_index, worker, 0]
-                    active.append(entry)
-                    if not slot.opened:
-                        worker.request(("open", self.session_id))
-                        entry[2] += 1
-                        slot.opened = True
-                    if routed and self._rings and not slot.rings_attached:
-                        worker.request(
-                            (
-                                "attach_shm",
-                                self.session_id,
-                                self._ring_specs(slot_index, "in"),
-                                self._ring_specs(slot_index, "out"),
-                            )
-                        )
-                        entry[2] += 1
-                        slot.rings_attached = True
-                    worker.request(request)
-                    entry[2] += 1
-            except BaseException as exc:
-                if isinstance(exc, ResidentWorkerError) and worker is not None:
-                    _evict_slot_worker(slot_index, worker)
-                self._abort_round(active)
-                raise
-
-            # Deterministic merge barrier: join every slot (lowest slot's
-            # error wins), then merge in target order — as every backend.
-            results: "dict[str, tuple[list[tuple[str, str, Any]], Any]]" = {}
-            slot_replies: "list[tuple[int, tuple]]" = []
-            error: BaseException | None = None
-            for slot_index, worker, expected in active:
-                value: Any = None
-                failed = False
-                for _ in range(expected):
-                    try:
-                        value = worker.reply()
-                    except ResidentWorkerError as exc:
-                        self._mark_broken(slot_index, worker)
-                        if error is None:
-                            error = exc
-                        failed = True
-                        break
-                    except BaseException as exc:  # noqa: BLE001 - worker raised
-                        if error is None:
-                            error = exc
-                        failed = True
-                        # keep draining the remaining replies so the pipe
-                        # stays request/reply aligned for the next superstep
-                if not failed:
-                    if routed:
-                        slot_replies.append((slot_index, value))
+        def build(slot_index: int, worker: _SlotWorker, slot: _SlotState) -> tuple:
+            machines = by_slot[slot_index]
+            if slot.worker_generation != worker.generation:
+                rp = self._remote_pending[slot_index]
+                if rp:
+                    # The old process held undelivered routed frames.
+                    # Recoverable only when this very round would have
+                    # *discarded* every one of them anyway: the program
+                    # drops its inbox and every pending receiver participates
+                    # (held frames are always due by the receiver's next
+                    # round).
+                    if not program.reads_inbox and rp <= {m.machine_id for m in machines}:
+                        rp.clear()
                     else:
-                        for machine_id, sent, delta in value:
-                            results[machine_id] = (sent, delta)
-            if error is not None:
-                if routed:
-                    # slots that did run already committed their frames;
-                    # driver and worker pending views may now diverge
-                    self._broken = True
-                raise error
-        finally:
-            self._suppress_sync = False
-            for _, worker in slot_workers:
-                worker.lock.release()
+                        raise ResidentWorkerError(
+                            f"resident worker slot {slot_index} was respawned "
+                            f"while holding undelivered slot-routed messages"
+                        )
+                # the slot's process was (re)spawned underneath this
+                # session: nothing previously shipped survives
+                slot.reset_for(worker.generation)
+            new_programs, replay, shared_init, store_updates, batch = self._sync_payload(
+                slot, [program], [program_key], machines, shared
+            )
+            request: tuple = (
+                "round",
+                self.session_id,
+                new_programs,
+                program_key,
+                replay,
+                shared_init,
+                store_updates,
+                batch,
+            )
+            if not routed:
+                return None, request
+            map_update, forward = self._locality_update(slot_index, slot)
+            routing = {
+                "epoch": epoch,
+                "slot": slot_index,
+                "map": map_update,
+                "forward": forward,
+                "drop_inbox": not program.reads_inbox,
+                "funnel": funnel,
+            }
+            rp = self._remote_pending[slot_index]
+            if rp:
+                # this round's batch consumes the due frames the slot holds
+                # for its participating machines
+                for machine in machines:
+                    rp.discard(machine.machine_id)
+            attach = None
+            if self._rings and not slot.rings_attached:
+                attach = (
+                    "attach_shm",
+                    self.session_id,
+                    self._ring_specs(slot_index, "in"),
+                    self._ring_specs(slot_index, "out"),
+                )
+                slot.rings_attached = True
+            return attach, request + (routing,)
+
+        slot_replies = self._call_slots(sorted(by_slot), build, commits=routed)
 
         # One pipe round trip happened for this superstep (fused blocks pay
         # one per whole block instead — the counter the fusion win shows up in).
@@ -1417,21 +1295,22 @@ class ResidentSession(ExecutionSession):
             return self._finish_routed_round(
                 cluster, program, program_key, targets, shared, slot_replies
             )
-        if funnel:
-            # Hybrid round: every worker-held frame was consumed in place
-            # (the gate required pending ⊆ targets), and the sends come
-            # back in the legacy shape for driver-side replay below.
-            for _slot_index, value in slot_replies:
+        results: "dict[str, tuple[list[tuple[str, str, Any, int]], Any]]" = {}
+        for _slot_index, value in slot_replies:
+            if funnel:
+                # Hybrid round: every worker-held frame was consumed in place
+                # (the gate required pending ⊆ targets), and the sends come
+                # back in the funnel shape for driver-side replay below.
                 if not (isinstance(value, tuple) and len(value) == 2 and value[0] == "funneled"):
                     self._broken = True
                     raise ResidentWorkerError(
                         "resident worker returned a malformed funneled-round reply"
                     )
-                for machine_id, sent, delta in value[1]:
-                    results[machine_id] = (sent, delta)
+                value = value[1]
+            for machine_id, sent, delta in value:
+                results[machine_id] = (sent, delta)
+        if funnel:
             self._recompute_pending_ids()
-            if not self._pending_ids:
-                self._pending_keys = set()
         return self._finish_replayed_round(cluster, program, program_key, targets, shared, results)
 
     def _finish_replayed_round(
@@ -1443,7 +1322,7 @@ class ResidentSession(ExecutionSession):
         shared: "dict[str, Any]",
         results: "dict[str, tuple[list[tuple[str, str, Any, int]], Any]]",
     ) -> "RoundRecord":
-        """Finish a legacy/funnel round: driver-side replay, apply, exchange.
+        """Finish a driver-path or funnel round: driver-side replay, apply, exchange.
 
         Bulk replay: workers already sized every send with the exact sizer
         the transport charges (fast_word_size), so the staged messages are
@@ -1502,7 +1381,7 @@ class ResidentSession(ExecutionSession):
                     continue
             # Not fusable here (or fusion unavailable): one unfused round.
             # Going through the backend re-checks the session gate, so a
-            # mid-block breakage falls back to the process path cleanly.
+            # mid-block breakage falls back to the sharded path cleanly.
             records.append(self.backend.run_superstep(cluster, programs[i], targets, shared))
             i += 1
         return records
@@ -1511,9 +1390,8 @@ class ResidentSession(ExecutionSession):
         """Length of the longest fusable span at ``start`` (0 = don't fuse).
 
         A span is ``interior* terminal?``: interior rounds are worker-
-        drivable by declaration *and* not runtime-demoted to the funnel
-        path; one driver-read (or demoted) phase may end the span as its
-        terminal round.
+        drivable by declaration; one driver-read phase may end the span as
+        its terminal round.
         """
         limit = resolve_fuse_rounds(self.cluster.config.fuse_rounds)
         if limit == 0:
@@ -1524,120 +1402,13 @@ class ResidentSession(ExecutionSession):
         span = 0
         while span < cap:
             program = programs[start + span]
-            if not isinstance(program, SuperstepProgram):
-                break
-            routed = self._route_programs.get(
-                self._program_key(program), program.driver_reads_sends is not True
-            )
-            if fusable_interior(program) and routed:
+            if fusable_interior(program):
                 span += 1
                 continue
-            if fusable_terminal(program) and (program.driver_reads_sends is True or routed):
+            if fusable_terminal(program):
                 span += 1  # a driver-read phase can end the block
             break
         return span
-
-    def _block_request(
-        self,
-        slot: _SlotState,
-        slot_index: int,
-        programs: "list[SuperstepProgram]",
-        program_keys: "list[int]",
-        specs: "list[tuple[int, bool, bool]]",
-        machines: "list[Machine]",
-        shared: "dict[str, Any]",
-        epoch0: int,
-        barrier_spec: "tuple[int, list[int]] | None",
-    ) -> tuple:
-        """Assemble one slot's ``run_block`` request (cf. :meth:`_round_request`).
-
-        The sync payload covers the whole span: programs, shared keys and
-        store snapshots are the union over every round's declarations, the
-        inbox batch belongs to round 0 (later rounds have worker frames
-        only — the driver does no work in between), and the block payload
-        carries the per-round specs plus the barrier base.
-        """
-        backend = self.backend
-        needed_programs = set(program_keys)
-        needed_programs.update(pkey for pkey, _ in slot.pending)
-        new_programs = {
-            key: self._programs[key][1] for key in sorted(needed_programs - slot.shipped_programs)
-        }
-        needed: "set[str]" = set()
-        for program in programs:
-            needed.update(program.session_keys())
-        for pkey, _ in slot.pending:
-            needed.update(self._programs[pkey][0].session_keys())
-        new_keys = needed - slot.resident_keys
-        if slot.pending and new_keys:
-            replay: "list[tuple[int, list[tuple[str, Any]]]]" = []
-            init_keys = set(needed)
-        else:
-            replay = slot.pending
-            init_keys = new_keys | (slot.dirty & needed)
-        slot.pending = []
-        try:
-            shared_init = {key: shared[key] for key in sorted(init_keys)}
-        except KeyError as exc:
-            raise KeyError(
-                f"{type(programs[0]).__name__} session needs shared key {exc.args[0]!r} "
-                f"but the session's shared state only has {sorted(shared)!r}"
-            ) from None
-        slot.resident_keys |= init_keys
-        slot.dirty -= init_keys
-
-        store_updates = []
-        seen_prefixes: "set[tuple[str, ...] | None]" = set()
-        for program in programs:
-            prefixes = program.store_reads
-            if (prefixes is None or prefixes) and prefixes not in seen_prefixes:
-                seen_prefixes.add(prefixes)
-                for machine in machines:
-                    version = machine.storage.version
-                    store_key = (machine.machine_id, prefixes)
-                    if slot.store_versions.get(store_key) != version:
-                        store_updates.append(
-                            (machine.machine_id, prefixes, version, backend._store_blob(machine, prefixes))
-                        )
-                        slot.store_versions[store_key] = version
-
-        if programs[0].reads_inbox:
-            batch = [(machine.machine_id, _pack_inbox(machine.drain())) for machine in machines]
-        else:
-            batch = []
-            for machine in machines:
-                machine.drain()
-                batch.append((machine.machine_id, ()))
-        slot.shipped_programs.update(new_programs)
-
-        map_update = None
-        if slot.map_version != self._map_version:
-            map_update = self._machine_info
-            slot.map_version = self._map_version
-        forward = self._forward[slot_index]
-        if forward:
-            self._forward[slot_index] = []
-            rp = self._remote_pending[slot_index]
-            for frame in forward:
-                rp.add(frame[4])
-        block = {
-            "epoch0": epoch0,
-            "slot": slot_index,
-            "map": map_update,
-            "forward": forward,
-            "rounds": specs,
-            "barrier": barrier_spec,
-        }
-        return (
-            "run_block",
-            self.session_id,
-            new_programs,
-            replay,
-            shared_init,
-            store_updates,
-            batch,
-            block,
-        )
 
     def _run_fused(
         self,
@@ -1680,103 +1451,67 @@ class ResidentSession(ExecutionSession):
 
         program_keys = [self._program_key(program) for program in programs]
         # Per-round worker specs: (program key, drop_inbox, funnel).  Only a
-        # declared driver-read terminal funnels; demoted-but-declared-False
-        # programs never enter a span (see _fusable_span).
+        # driver-read terminal funnels (see _fusable_span).
         specs = [
-            (key, not program.reads_inbox, program.driver_reads_sends is True)
+            (key, not program.reads_inbox, program.driver_reads_sends)
             for key, program in zip(program_keys, programs)
         ]
         epoch0 = ledger.next_round_index
         base = self._barrier_base
 
-        slot_workers = [(slot_index, _slot_worker(slot_index)) for slot_index in participating]
-        for _, worker in slot_workers:
-            worker.lock.acquire()
-        self._suppress_sync = True
-        self.in_fused_block = True
-        block_replies: "dict[int, tuple]" = {}
-        try:
-            try:
-                active: "list[list]" = []
-                slot_index, worker = -1, None
-                try:
-                    for slot_index, worker in slot_workers:
-                        slot = self._slots[slot_index]
-                        if slot.worker_generation != worker.generation:
-                            if self._remote_pending[slot_index]:
-                                raise ResidentWorkerError(
-                                    f"resident worker slot {slot_index} was respawned "
-                                    f"while holding undelivered slot-routed messages"
-                                )
-                            slot.reset_for(worker.generation)
-                        request = self._block_request(
-                            slot,
-                            slot_index,
-                            programs,
-                            program_keys,
-                            specs,
-                            by_slot[slot_index],
-                            shared,
-                            epoch0,
-                            (base, participating) if multi else None,
-                        )
-                        entry = [slot_index, worker, 0]
-                        active.append(entry)
-                        if not slot.opened:
-                            worker.request(("open", self.session_id))
-                            entry[2] += 1
-                            slot.opened = True
-                        if multi and (
-                            (self._rings and not slot.rings_attached) or not slot.barrier_attached
-                        ):
-                            worker.request(
-                                (
-                                    "attach_shm",
-                                    self.session_id,
-                                    self._ring_specs(slot_index, "in"),
-                                    self._ring_specs(slot_index, "out"),
-                                    (self._barrier.name, self.slot_count),
-                                )
-                            )
-                            entry[2] += 1
-                            slot.rings_attached = True
-                            slot.barrier_attached = True
-                        worker.request(request)
-                        entry[2] += 1
-                except BaseException as exc:
-                    if isinstance(exc, ResidentWorkerError) and worker is not None:
-                        _evict_slot_worker(slot_index, worker)
-                    self._abort_round(active)
-                    raise
+        def build(slot_index: int, worker: _SlotWorker, slot: _SlotState) -> tuple:
+            if slot.worker_generation != worker.generation:
+                if self._remote_pending[slot_index]:
+                    raise ResidentWorkerError(
+                        f"resident worker slot {slot_index} was respawned "
+                        f"while holding undelivered slot-routed messages"
+                    )
+                slot.reset_for(worker.generation)
+            # The sync payload covers the whole span: programs, shared keys
+            # and store snapshots are the union over every round's
+            # declarations, and the inbox batch belongs to round 0 (later
+            # rounds have worker frames only — the driver does no work in
+            # between).
+            new_programs, replay, shared_init, store_updates, batch = self._sync_payload(
+                slot, programs, program_keys, by_slot[slot_index], shared
+            )
+            map_update, forward = self._locality_update(slot_index, slot)
+            block = {
+                "epoch0": epoch0,
+                "slot": slot_index,
+                "map": map_update,
+                "forward": forward,
+                "rounds": specs,
+                "barrier": (base, participating) if multi else None,
+            }
+            attach = None
+            if multi and ((self._rings and not slot.rings_attached) or not slot.barrier_attached):
+                attach = (
+                    "attach_shm",
+                    self.session_id,
+                    self._ring_specs(slot_index, "in"),
+                    self._ring_specs(slot_index, "out"),
+                    (self._barrier.name, self.slot_count),
+                )
+                slot.rings_attached = True
+                slot.barrier_attached = True
+            request = (
+                "run_block",
+                self.session_id,
+                new_programs,
+                replay,
+                shared_init,
+                store_updates,
+                batch,
+                block,
+            )
+            return attach, request
 
-                error: "BaseException | None" = None
-                for slot_index, worker, expected in active:
-                    value: Any = None
-                    failed = False
-                    for _ in range(expected):
-                        try:
-                            value = worker.reply()
-                        except ResidentWorkerError as exc:
-                            self._mark_broken(slot_index, worker)
-                            if error is None:
-                                error = exc
-                            failed = True
-                            break
-                        except BaseException as exc:  # noqa: BLE001 - worker raised
-                            if error is None:
-                                error = exc
-                            failed = True
-                    if not failed:
-                        block_replies[slot_index] = value
-                if error is not None:
-                    # slots that did run already committed fused rounds;
-                    # driver and worker views have diverged
-                    self._broken = True
-                    raise error
-            finally:
-                self._suppress_sync = False
-                for _, worker in slot_workers:
-                    worker.lock.release()
+        self.in_fused_block = True
+        try:
+            # slots that ran already committed fused rounds: any error
+            # leaves driver and worker views diverged
+            block_replies = dict(self._call_slots(participating, build, commits=True))
 
             # Validate: every slot speaks the block protocol and committed
             # the same number of rounds (the barrier's stop-bit guarantee).
@@ -1830,8 +1565,6 @@ class ResidentSession(ExecutionSession):
                         for machine_id, sent, delta in entry[1]:
                             results[machine_id] = (sent, delta)
                     self._recompute_pending_ids()
-                    if not self._pending_ids:
-                        self._pending_keys = set()
                     records.append(
                         self._finish_replayed_round(cluster, program, program_key, targets, shared, results)
                     )
@@ -1876,15 +1609,9 @@ class ResidentSession(ExecutionSession):
         self._map_count = len(machines)
         self._map_version += 1
 
-    def _routing_payload(
-        self,
-        slot_index: int,
-        slot: _SlotState,
-        epoch: int,
-        program: SuperstepProgram,
-        funnel: bool = False,
-    ) -> "dict[str, Any]":
-        """The ``routing`` element of one slot's round request."""
+    def _locality_update(self, slot_index: int, slot: _SlotState) -> "tuple[Any, list[tuple]]":
+        """The routing-map update (``None`` = unchanged) and the forwarded
+        pipe-fallback frames for one slot's next request."""
         map_update = None
         if slot.map_version != self._map_version:
             map_update = self._machine_info
@@ -1895,14 +1622,92 @@ class ResidentSession(ExecutionSession):
             rp = self._remote_pending[slot_index]
             for frame in forward:
                 rp.add(frame[4])
-        return {
-            "epoch": epoch,
-            "slot": slot_index,
-            "map": map_update,
-            "forward": forward,
-            "drop_inbox": not program.reads_inbox,
-            "funnel": funnel,
-        }
+        return map_update, forward
+
+    def _call_slots(
+        self,
+        slot_indices: "list[int]",
+        build: "Callable[[int, _SlotWorker, _SlotState], tuple[tuple | None, tuple]]",
+        *,
+        commits: bool,
+    ) -> "list[tuple[int, Any]]":
+        """Send one request to each slot, then collect the replies in slot order.
+
+        ``build(slot_index, worker, slot)`` returns ``(attach op or None,
+        request)``.  The slot workers are locked in slot order — globally
+        consistent, so concurrent drivers cannot deadlock — for the whole
+        request→reply group: workers are process-wide and their pipes are
+        strictly request/reply aligned.  Every slot gets its request before
+        any reply is awaited, so worker execution overlaps across slots.
+
+        A failure while sending aborts the round: every request already
+        sent is drained (its worker still replies once per request) and the
+        session stops claiming residency.  A failed reply keeps the other
+        replies draining; the lowest slot's error is raised afterwards, and
+        with ``commits`` (slots that ran already committed routed frames or
+        fused rounds) the session is broken too.
+        """
+        slot_workers = [(slot_index, _slot_worker(slot_index)) for slot_index in slot_indices]
+        for _, worker in slot_workers:
+            worker.lock.acquire()
+        self._suppress_sync = True
+        try:
+            # Entries join ``active`` before their first send, so the abort
+            # path sees every request that could have reached a pipe.
+            active: "list[list]" = []  # [slot_index, worker, sent count]
+            slot_index, worker = -1, None
+            try:
+                for slot_index, worker in slot_workers:
+                    slot = self._slots[slot_index]
+                    attach, request = build(slot_index, worker, slot)
+                    entry = [slot_index, worker, 0]
+                    active.append(entry)
+                    if not slot.opened:
+                        worker.request(("open", self.session_id))
+                        entry[2] += 1
+                        slot.opened = True
+                    if attach is not None:
+                        worker.request(attach)
+                        entry[2] += 1
+                    worker.request(request)
+                    entry[2] += 1
+            except BaseException as exc:
+                if isinstance(exc, ResidentWorkerError) and worker is not None:
+                    _evict_slot_worker(slot_index, worker)
+                self._abort_round(active)
+                raise
+
+            replies: "list[tuple[int, Any]]" = []
+            error: BaseException | None = None
+            for slot_index, worker, expected in active:
+                value: Any = None
+                failed = False
+                for _ in range(expected):
+                    try:
+                        value = worker.reply()
+                    except ResidentWorkerError as exc:
+                        self._mark_broken(slot_index, worker)
+                        if error is None:
+                            error = exc
+                        failed = True
+                        break
+                    except BaseException as exc:  # noqa: BLE001 - worker raised
+                        if error is None:
+                            error = exc
+                        failed = True
+                        # keep draining the remaining replies so the pipe
+                        # stays request/reply aligned for the next superstep
+                if not failed:
+                    replies.append((slot_index, value))
+            if error is not None:
+                if commits:
+                    self._broken = True
+                raise error
+            return replies
+        finally:
+            self._suppress_sync = False
+            for _, worker in slot_workers:
+                worker.lock.release()
 
     def _ring_capacity(self) -> int:
         """Bytes per cross-slot ring: explicit override or sized from ``S``.
@@ -2015,10 +1820,6 @@ class ResidentSession(ExecutionSession):
             if slot_info is not None:
                 self._remote_pending[slot_info[1]].add(receiver)
         self._recompute_pending_ids()
-        if local_count or ring_frames or overflow_count:
-            # this round's frames are held away from the driver; if a
-            # driver-side read flushes them back, this key takes the blame
-            self._pending_keys.add(program_key)
 
         # The same barrier as every backend: all runs happened, now all
         # applies in target order, then one exchange.
@@ -2120,7 +1921,6 @@ class ResidentSession(ExecutionSession):
                 frames.extend(self._flush_slot(slot_index))
                 self._remote_pending[slot_index] = set()
         self._pending_ids = set()
-        self._pending_keys = set()
         if not frames:
             return
         frames.sort(key=_frame_sort_key)
@@ -2131,14 +1931,15 @@ class ResidentSession(ExecutionSession):
                 machine.inbox.append(_frame_message(frame))
 
     def ensure_local(self, machine: "Machine") -> None:
-        """Inbox-router hook: make ``machine``'s driver inbox complete."""
+        """Inbox-router hook: make ``machine``'s driver inbox complete.
+
+        Only a program that mis-declares ``driver_reads_sends = False``
+        leaves frames the driver then reads; the flush keeps such a run
+        exact, at the cost of a second pipe crossing.
+        """
         if self._suppress_sync or self._broken:
             return
         if machine.machine_id in self._pending_ids:
-            # the driver wants these bodies: routing their producers away
-            # from it was wasted motion — funnel them from now on
-            for key in self._pending_keys:
-                self._route_programs[key] = False
             self._flush_all()
 
     def flush_for_exchange(self) -> None:
@@ -2146,8 +1947,6 @@ class ResidentSession(ExecutionSession):
         if self._broken:
             return
         if self._pending_ids or any(self._forward):
-            for key in self._pending_keys:
-                self._route_programs[key] = False
             self._flush_all()
 
     def discard_pending(self) -> None:
@@ -2156,7 +1955,6 @@ class ResidentSession(ExecutionSession):
         self._remote_pending = [set() for _ in range(self.slot_count)]
         self._forward = [[] for _ in range(self.slot_count)]
         self._pending_ids = set()
-        self._pending_keys = set()
         if self._broken:
             return
         for slot_index in range(self.slot_count):
@@ -2173,7 +1971,7 @@ class ResidentSession(ExecutionSession):
 
     def _mark_broken(self, slot_index: int, worker: "_SlotWorker | None" = None) -> None:
         """A worker died: its resident state is gone.  Stop claiming residency
-        (later supersteps fall back to the stateless process path) and evict
+        (later supersteps fall back to the sharded sequential path) and evict
         the dead worker so the next session gets a fresh one."""
         self._broken = True
         _evict_slot_worker(slot_index, worker)
@@ -2300,14 +2098,13 @@ class ResidentSession(ExecutionSession):
 
 
 @register_backend
-class ResidentBackend(ProcessBackend):
-    """Process backend + session-scoped resident worker state.
+class ResidentBackend(ShardedBackend):
+    """Sharded backend + session-scoped resident worker state.
 
-    Inherits the sharded transport, the version-memoised store pickling and
-    the process-pool program path from :class:`ProcessBackend`; adds the
-    session seam.  Outside an active session (driver-style dynamic
-    workloads, closure handlers, fewer than two worker slots) it *is* the
-    process backend.
+    Inherits the cached storage and the shard-partitioned transport from
+    :class:`ShardedBackend`; adds the session seam.  Outside an active
+    session (driver-style dynamic workloads) or after a session broke, it
+    *is* the sharded backend: supersteps run sequentially in the driver.
     """
 
     name = "resident"
@@ -2324,61 +2121,87 @@ class ResidentBackend(ProcessBackend):
     #: ``pipe_fallbacks``) — observability only, never simulation input.
     last_session_traffic: "dict[str, int] | None" = None
 
+    def __init__(self, config, *, plan=None) -> None:
+        super().__init__(config, plan=plan)
+        #: how the most recent superstep executed — ``"sequential"`` (no
+        #: live session) or one of the ``"resident*"`` session paths; an
+        #: observability/testing aid, never consulted by the simulation.
+        self.last_superstep_mode: str | None = None
+        #: driver-side store-slice pickle cache:
+        #: machine -> {store_reads: (storage version, blob)}
+        self._store_blobs: dict["Machine", dict[tuple[str, ...] | None, tuple[int, bytes]]] = {}
+
+    def _store_blob(self, machine: "Machine", prefixes: "tuple[str, ...] | None") -> bytes:
+        """The pickled ``store_reads`` slice of ``machine``, memoised per store version.
+
+        Static baselines never write stores inside a superstep, so the big
+        adjacency/weight payloads are pickled once and the bytes reused
+        until :attr:`~repro.runtime.base.MachineStorage.version` moves.
+        """
+        versions = self._store_blobs.setdefault(machine, {})
+        version = machine.storage.version
+        cached = versions.get(prefixes)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        subset = store_subset(machine.storage.items(), prefixes)
+        blob = pickle.dumps(subset, protocol=_PICKLE)
+        versions[prefixes] = (version, blob)
+        return blob
+
     @property
     def worker_slots(self) -> int:
         """How many resident worker slots a session on this backend uses.
 
         ``config.resident_slots`` pins the count explicitly (still clamped
         to the shard count — a slot with no shards would idle).  The
-        default is bounded by ``max_workers``, the shard count *and the
-        real CPU parallelism of the host*: unlike a pool size (where
-        oversubscribed processes merely timeshare), every extra resident
-        slot costs two context switches per superstep, so slots beyond the
-        hardware's parallelism are pure overhead.  One slot is perfectly
-        meaningful — residency is about state locality (stores shipped
-        once, deltas replayed), not about the width of the fan-out.
+        default is bounded by the shard count *and the real CPU
+        parallelism of the host*: every extra resident slot costs two
+        context switches per superstep, so slots beyond the hardware's
+        parallelism are pure overhead.  One slot is perfectly meaningful —
+        residency is about state locality (stores shipped once, deltas
+        replayed), not about the width of the fan-out.
         """
         override = self.config.resident_slots
         if override is not None:
             return max(1, min(override, self.plan.shard_count))
-        return max(1, min(self.max_workers, self.plan.shard_count, os.cpu_count() or 1))
+        return max(1, min(self.plan.shard_count, os.cpu_count() or 1))
 
     def open_session(self, cluster: "Cluster", shared: "dict[str, Any]") -> ExecutionSession:
         return ResidentSession(self, cluster, shared, self.worker_slots)
 
-    def run_superstep(
-        self,
-        cluster: "Cluster",
-        program: "SuperstepHandler",
-        targets: "list[Machine]",
-        shared: "dict[str, Any]",
-    ) -> "RoundRecord":
+    def _live_session(self, cluster: "Cluster", shared: "dict[str, Any]") -> "ResidentSession | None":
         session = cluster._active_session
         if (
             isinstance(session, ResidentSession)
             and not session._broken
             and session.backend is self
             and shared is session.shared
-            and isinstance(program, SuperstepProgram)
         ):
+            return session
+        return None
+
+    def run_superstep(
+        self,
+        cluster: "Cluster",
+        program: SuperstepProgram,
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> "RoundRecord":
+        session = self._live_session(cluster, shared)
+        if session is not None:
             return session.run_round(cluster, program, targets, shared)
+        self.last_superstep_mode = "sequential"
         return super().run_superstep(cluster, program, targets, shared)
 
     def run_superstep_block(
         self,
         cluster: "Cluster",
-        programs: "list[SuperstepHandler]",
+        programs: "list[SuperstepProgram]",
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "list[RoundRecord]":
-        session = cluster._active_session
-        if (
-            isinstance(session, ResidentSession)
-            and not session._broken
-            and session.backend is self
-            and shared is session.shared
-            and all(isinstance(program, SuperstepProgram) for program in programs)
-        ):
+        session = self._live_session(cluster, shared)
+        if session is not None:
             return session.run_block(cluster, list(programs), targets, shared)
         return super().run_superstep_block(cluster, programs, targets, shared)
 

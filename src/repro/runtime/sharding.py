@@ -14,9 +14,8 @@ two pieces:
     machine-set growth, the right choice for id-keyed workloads);
 :class:`ShardedTransport`
     a transport keeping **per-shard staged-sender sets** and **per-shard
-    word aggregates**.  Sends touch only the sender's own shard's state —
-    which is what lets the parallel backend run shard handlers concurrently
-    without contention — and the exchange collects the staged senders
+    word aggregates**.  Sends touch only the sender's own shard's state,
+    and the exchange collects the staged senders
     shard by shard, merges them back into **global registration order** and
     delivers, so the delivered round is bit-for-bit identical to the
     reference backend.
@@ -171,9 +170,8 @@ def _by_index(machine: "Machine") -> int:
 class ShardedTransport(Transport):
     """Per-shard staged senders and word aggregates; reference delivery order.
 
-    ``note_staged`` touches only the sender's own shard's set, so shard
-    handlers running concurrently (the parallel backend) never contend on
-    shared staging state.  ``exchange`` collects each shard's staged senders
+    ``note_staged`` touches only the sender's own shard's set.
+    ``exchange`` collects each shard's staged senders
     (sorted by registration index), merges the shard lists back into global
     registration order — the deterministic merge barrier — and runs the
     fused delivery loop.
@@ -552,7 +550,7 @@ class ShardedBackend(ExecutionBackend):
     @property
     def accounting_policy_name(self) -> str:
         # Identical policy to the fast backend at the same sampling stride,
-        # so fast/sharded/parallel clusters may share one ledger.
+        # so fast/sharded/resident clusters may share one ledger.
         return f"scalar-aggregate/k={self._sampling}"
 
     @property

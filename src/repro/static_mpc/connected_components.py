@@ -18,12 +18,12 @@ Each iteration is two supersteps expressed as module-level picklable
 programs (:class:`LabelProposeProgram`, :class:`LabelApplyProgram`) routed
 through :meth:`Cluster.superstep`, so the per-machine work runs under
 whatever execution strategy the cluster's backend provides — including the
-``process`` backend's serialized shard jobs.  The programs follow the
+``resident`` backend's long-lived worker processes.  The programs follow the
 program contract: shared driver state (``labels``, ``via``,
 ``changed_flags``) is read through the declared ``shared_reads`` keys and
 only *written* through deltas merged at the round barrier, which is exactly
-what lets the pooled backends run the per-machine code concurrently — or in
-another process — without changing a single delivered message.
+what lets the resident backend run the per-machine code in other processes
+without changing a single delivered message.
 """
 
 from __future__ import annotations
@@ -201,8 +201,6 @@ class StaticConnectedComponents:
         max_rounds: int | None = None,
         backend: str | None = None,
         shard_count: int | None = None,
-        max_workers: int | None = None,
-        process_chunk_machines: int | None = None,
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
@@ -214,8 +212,6 @@ class StaticConnectedComponents:
             num_workers=num_workers,
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
             replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,

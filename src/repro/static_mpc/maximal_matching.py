@@ -22,9 +22,9 @@ The proposal choice is drawn from a stable per-``(seed, round, vertex)``
 mixer rather than one shared RNG stream: a shared stream's consumption
 order would depend on machine execution order, while the mixer makes every
 machine's choices a pure function of driver state — which, together with
-the explicit program contract, lets the ``parallel`` and ``process``
-backends run the per-machine phases concurrently (or in other processes)
-and still produce the identical matching.  The proposal and announcement
+the explicit program contract, lets the ``resident`` backend run the
+per-machine phases in other processes and still produce the identical
+matching.  The proposal and announcement
 phases are module-level picklable programs (:class:`MatchingProposeProgram`,
 :class:`MatchingAnnounceProgram`) routed through :meth:`Cluster.superstep`;
 the acceptance phase is a global driver decision (it resolves cross-shard
@@ -361,8 +361,6 @@ class StaticMaximalMatching:
         max_rounds: int | None = None,
         backend: str | None = None,
         shard_count: int | None = None,
-        max_workers: int | None = None,
-        process_chunk_machines: int | None = None,
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
@@ -374,8 +372,6 @@ class StaticMaximalMatching:
             num_workers=num_workers,
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
             replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,

@@ -18,8 +18,8 @@ The program reads the shared union-find ``component`` map through ``find``
 with path compression — the sanctioned *semantically invisible* mutation of
 shared state: no merges happen during the scan, so every compressed pointer
 is a valid ancestor and every ``find`` returns the phase's unique root
-whether the map is the live driver dict (sequential/thread execution) or a
-shipped copy (process execution, where the compression is simply
+whether the map is the live driver dict (in-process execution) or a
+shipped copy (resident worker execution, where the compression is simply
 discarded).  Merging (choosing global minima and uniting components) is a
 driver-level decision between supersteps, mirroring the label-vertex
 owners' role.
@@ -54,6 +54,9 @@ class MSTCandidateProgram(VertexProgram):
     #: the inbox holds the previous phase's merge broadcast, already
     #: reflected in the shared component map — never read
     reads_inbox = False
+    #: the driver drains the ``mst-candidate`` sends itself to pick each
+    #: component's global minimum, so resident sessions funnel them back
+    driver_reads_sends = True
 
     def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> int:
         # inbox: the previous phase's merge broadcast — the shared
@@ -116,6 +119,9 @@ class CSRMSTCandidateProgram(VertexProgram):
     #: the inbox holds the previous phase's merge broadcast, already
     #: reflected in the shared component map — never read
     reads_inbox = False
+    #: the driver drains the ``mst-candidate`` sends itself (see
+    #: :class:`MSTCandidateProgram`)
+    driver_reads_sends = True
 
     def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> int:
         component = shared["component"]
@@ -191,8 +197,6 @@ class StaticBoruvkaMST:
         max_phases: int | None = None,
         backend: str | None = None,
         shard_count: int | None = None,
-        max_workers: int | None = None,
-        process_chunk_machines: int | None = None,
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
@@ -204,8 +208,6 @@ class StaticBoruvkaMST:
             num_workers=num_workers,
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
             replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,

@@ -40,18 +40,15 @@ from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.mpc.layout import DYNAMIC_LAYOUTS
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+BACKENDS = ("reference", "fast", "sharded", "resident", "resident-shm")
 SHARD_COUNT = 3
-MAX_WORKERS = 2
 
 
 def make_config(n: int, m: int, backend: str | None) -> DMPCConfig:
     extra: dict = {}
     real = backend
-    if backend in ("sharded", "parallel", "process", "resident", "resident-shm"):
+    if backend in ("sharded", "resident", "resident-shm"):
         extra["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", "resident", "resident-shm"):
-        extra["max_workers"] = MAX_WORKERS
     if backend == "resident-shm":
         real = "resident"
         extra["resident_slots"] = 2
@@ -278,7 +275,7 @@ class TestCoalescedBatchReplay:
         assert default.coalesce is False
 
 
-# ------------------------------------------------ all seven backends
+# ------------------------------------------------ all five backends
 class TestCoalescedAcrossBackends:
     """Coalesced batches are backend-invariant: solutions, rounds and words."""
 

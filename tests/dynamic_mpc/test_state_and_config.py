@@ -43,6 +43,27 @@ class TestDMPCConfig:
         assert config.capacity_m == 20
         assert not config.strict_memory
 
+    def test_execution_knob_validation(self):
+        with pytest.raises(ValueError, match="resident_slots"):
+            DMPCConfig(capacity_n=1, capacity_m=1, resident_slots=0)
+        with pytest.raises(ValueError, match="replan_every"):
+            DMPCConfig(capacity_n=1, capacity_m=1, replan_every=0)
+        with pytest.raises(ValueError, match="resident_shm_ring_bytes"):
+            DMPCConfig(capacity_n=1, capacity_m=1, resident_shm_ring_bytes=512)
+
+    def test_for_graph_forwards_execution_knobs(self):
+        config = DMPCConfig.for_graph(10, 20, backend="resident", shard_count=3, resident_slots=2)
+        assert (config.backend, config.shard_count, config.resident_slots) == ("resident", 3, 2)
+        assert DMPCConfig.for_graph(10, 20).resident_slots is None  # min(shards, CPUs) default
+
+    def test_pool_knobs_are_gone(self):
+        """``resident_slots`` is the one worker-count knob; the pool knobs are not accepted."""
+        for knob in ("max_workers", "process_chunk_machines"):
+            with pytest.raises(TypeError, match=knob):
+                DMPCConfig(capacity_n=1, capacity_m=1, **{knob: 2})
+            with pytest.raises(TypeError, match=knob):
+                DMPCConfig.for_graph(10, 20, **{knob: 2})
+
     def test_experiment_config_defaults(self):
         exp = ExperimentConfig()
         assert exp.seed == 2019

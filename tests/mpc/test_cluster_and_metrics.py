@@ -6,7 +6,21 @@ import pytest
 
 from repro.config import DMPCConfig
 from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
-from repro.mpc import Cluster, MetricsLedger, Message, RoundRecord
+from repro.mpc import Cluster, MetricsLedger, Message, RoundRecord, SuperstepProgram
+
+
+class ReportProgram(SuperstepProgram):
+    """Every machine but ``w0`` reports to ``w0``; each records its inbox size."""
+
+    shared_writes = ("seen",)
+
+    def run(self, ctx, inbox, shared):
+        if ctx.machine_id != "w0":
+            ctx.send("w0", "report", ctx.machine_id)
+        return len(inbox)
+
+    def apply(self, shared, machine_id, delta):
+        shared["seen"][machine_id] = delta
 
 
 def make_cluster(**kwargs) -> Cluster:
@@ -67,14 +81,24 @@ class TestCluster:
     def test_superstep_runs_handler_on_all_machines(self):
         cluster = make_cluster()
         cluster.add_machines("w", 3)
-
-        def handler(machine, inbox):
-            machine.store("seen", len(inbox))
-            if machine.machine_id != "w0":
-                machine.send("w0", "report", machine.machine_id)
-
-        cluster.superstep(handler)
+        shared = {"seen": {}}
+        cluster.superstep(ReportProgram(), shared=shared)
         assert len(cluster.machine("w0").inbox) == 2
+        assert shared["seen"] == {"w0": 0, "w1": 0, "w2": 0}
+
+    def test_superstep_rejects_callables(self):
+        cluster = make_cluster()
+        cluster.add_machines("w", 2)
+
+        def handler(machine, inbox):  # pragma: no cover - never called
+            machine.send("w0", "report", 1)
+
+        with pytest.raises(TypeError, match="SuperstepProgram"):
+            cluster.superstep(handler)
+        # a block is checked whole before any of its rounds runs
+        with pytest.raises(TypeError, match="SuperstepProgram"):
+            cluster.superstep_block([ReportProgram(), handler], shared={"seen": {}})
+        assert cluster.ledger.next_round_index == 1
 
     def test_update_context_scopes_rounds(self):
         cluster = make_cluster()

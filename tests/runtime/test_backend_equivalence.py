@@ -4,20 +4,16 @@ The execution-backend contract (:mod:`repro.runtime.base`) is that backends
 may change *how* a simulation executes but never *what* it computes: the
 maintained solutions, the per-update round counts and the word accounting
 must be identical under every backend.  These tests drive the same graphs
-and update streams through the reference, fast, sharded, parallel, process
-and resident backends — the latter twice: once with its default slot
-count and once pinned to two slots (``resident-shm``), where cross-slot
-messages ride the shared-memory rings — and compare everything the
-algorithms expose.
+and update streams through the reference, fast, sharded and resident
+backends — the latter twice: once with its default slot count and once
+pinned to two slots (``resident-shm``), where cross-slot messages ride the
+shared-memory rings — and compare everything the algorithms expose.
 
-The sharded/parallel/process/resident configurations deliberately use a
-``shard_count`` that does **not** divide the machine counts these workloads
-produce, so the uneven last shard and the K-way merge barrier are always
-exercised; the parallel backend runs with a real two-worker thread pool,
-the process backend with a real two-worker spawn pool and the resident
-backend with live persistent worker sessions (the static tests assert the
-superstep jobs genuinely crossed the process boundary and, for resident,
-that one session was reused across rounds).
+The sharded/resident configurations deliberately use a ``shard_count``
+that does **not** divide the machine counts these workloads produce, so
+the uneven last shard and the K-way merge barrier are always exercised;
+the resident backend runs with live persistent worker sessions (the
+static tests assert that one session was reused across rounds).
 """
 
 from __future__ import annotations
@@ -38,14 +34,13 @@ from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.streams import mixed_stream
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
 
-#: the seventh way, ``resident-shm``, is the resident backend pinned to two
+#: the fifth way, ``resident-shm``, is the resident backend pinned to two
 #: worker slots — the configuration where cross-slot messages genuinely ride
 #: the shared-memory rings (one slot routes everything worker-locally).
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+BACKENDS = ("reference", "fast", "sharded", "resident", "resident-shm")
 
 #: deliberately odd so it does not divide typical machine counts
 SHARD_COUNT = 3
-MAX_WORKERS = 2
 
 _RESIDENT_FAMILY = ("resident", "resident-shm")
 
@@ -56,12 +51,10 @@ def real_backend(backend: str) -> str:
 
 
 def backend_overrides(backend: str) -> dict:
-    """Per-backend config extras: odd shard count, real worker pools."""
+    """Per-backend config extras: odd shard count, a two-slot resident row."""
     extra: dict = {}
-    if backend in ("sharded", "parallel", "process", *_RESIDENT_FAMILY):
+    if backend in ("sharded", *_RESIDENT_FAMILY):
         extra["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", *_RESIDENT_FAMILY):
-        extra["max_workers"] = MAX_WORKERS
     if backend == "resident-shm":
         extra["resident_slots"] = 2
     return extra
@@ -183,9 +176,9 @@ class TestAlgorithmEquivalence:
 class TestStaticAlgorithmEquivalence:
     """The superstep-routed static baselines under every execution strategy.
 
-    These are the workloads where the parallel backend actually fans
-    handler execution across the worker pool, so they pin the deterministic
-    merge barrier: solutions, per-round ledger records, word totals and
+    These are the workloads where the resident backend actually runs
+    program code in its worker slots, so they pin the deterministic merge
+    barrier: solutions, per-round ledger records, word totals and
     per-machine ``used_words`` must be identical to the reference.
     """
 
@@ -197,10 +190,7 @@ class TestStaticAlgorithmEquivalence:
             )
             algorithm.run()
             runs[backend] = algorithm
-        # The process rows must have genuinely crossed the process boundary —
-        # a silent fallback would make this whole class vacuous for it.
-        assert runs["process"].cluster.backend.last_superstep_mode == "pool"
-        # Likewise the resident rows: the run's supersteps must have been
+        # The resident rows: the run's supersteps must have been
         # routed through one live worker session, with more than one round
         # actually crossing into the persistent workers (state was kept
         # resident and *reused*, not re-shipped per round).
@@ -216,14 +206,16 @@ class TestStaticAlgorithmEquivalence:
         # The shm row must be non-vacuous: with two slots on these
         # message-heavy workloads at least one cross-slot frame must have
         # ridden a shared-memory ring (otherwise the equivalence claim for
-        # the shm wire path tests nothing).  Workloads whose only superstep
-        # program is driver-read get adaptively funneled after their first
-        # routed round (``expect_shm=False``); for those the weaker claim
-        # holds — slot routing ran at least once.
+        # the shm wire path tests nothing).  Workloads whose every superstep
+        # program declares its sends driver-read (``expect_shm=False``) must
+        # instead never route a message: all their sends funnel.
         traffic = runs["resident-shm"].cluster.backend.last_session_traffic
         if expect_shm:
             assert runs["resident-shm"].cluster.backend.last_session_shm_frames >= 1
-        assert traffic["local_messages"] + traffic["cross_slot_messages"] >= 1
+            assert traffic["local_messages"] + traffic["cross_slot_messages"] >= 1
+        else:
+            assert runs["resident-shm"].cluster.backend.last_session_shm_frames == 0
+            assert traffic["local_messages"] + traffic["cross_slot_messages"] == 0
         return runs
 
     def assert_cluster_parity(self, runs):
@@ -254,9 +246,9 @@ class TestStaticAlgorithmEquivalence:
 
     def test_boruvka_mst_equivalent(self):
         graph = random_weighted_graph(45, 110, seed=19)
-        # Borůvka's single superstep program feeds the driver-local
-        # contraction step, so its sends funnel after round 1 — no shm
-        # frames expected, but routing itself must still have engaged.
+        # Borůvka's single superstep program declares its candidate sends
+        # driver-read (the driver picks each component's minimum), so every
+        # send funnels from the first round: zero routed traffic.
         runs = self.run_static(StaticBoruvkaMST, graph, expect_shm=False)
         assert_all_equal(runs, lambda a: sorted(a.forest), "forest")
         assert_all_equal(runs, lambda a: a.phases_used, "phases used")

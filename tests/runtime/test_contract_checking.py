@@ -2,9 +2,9 @@
 
 Three guarantees are pinned here:
 
-1. **Worker parity** — with checking on, the sequential *and* thread-pooled
-   in-process strategies raise on an undeclared ``shared[key]`` read exactly
-   like a ``process``/``resident`` worker holding only the declared slice
+1. **Worker parity** — with checking on, the in-process sequential *and*
+   shard-bucketed strategies raise on an undeclared ``shared[key]`` read
+   exactly like a ``resident`` worker holding only the declared slice
    would, and silently hand back defaults for undeclared ``shared.get`` /
    ``ctx.load`` exactly like a worker would.  Without the env var, the old
    permissive behavior is untouched.
@@ -100,8 +100,13 @@ def make_cluster(backend: str = "reference", *, machines: int = 3, **config_kwar
     return cluster
 
 
-def make_thread_cluster(*, machines: int = 6) -> Cluster:
-    return make_cluster("parallel", machines=machines, shard_count=3, max_workers=2)
+def make_sharded_cluster(*, machines: int = 6) -> Cluster:
+    return make_cluster("sharded", machines=machines, shard_count=3)
+
+
+#: the in-process strategies a resident worker must agree with: the
+#: reference loop and the shard-bucketed loop ``resident`` runs outside a session
+IN_PROCESS = pytest.mark.parametrize("make", [make_cluster, make_sharded_cluster], ids=["sequential", "sharded"])
 
 
 @pytest.fixture()
@@ -135,14 +140,14 @@ class TestSwitch:
 class TestWorkerParity:
     """Satellite: in-process backends behave exactly like a worker under checking."""
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @IN_PROCESS
     def test_undeclared_subscript_read_raises_like_a_worker(self, checking, make):
         cluster = make()
         shared = {"labels": {0: 0}}  # present in shared — a worker slice still would not ship it
         with pytest.raises(KeyError, match=r"shared\['labels'\].*worker"):
             cluster.superstep(broken.UndeclaredSharedReadProgram(), shared=shared)
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @IN_PROCESS
     def test_same_program_passes_without_checking(self, unchecked, make):
         cluster = make()
         record = cluster.superstep(broken.UndeclaredSharedReadProgram(), shared={"labels": {0: 0}})
@@ -171,7 +176,7 @@ class TestWorkerParity:
         assert obs.store_prefixes == {"token", "secret"}
         assert obs.undeclared_store_prefixes == {"secret"}
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @IN_PROCESS
     def test_undeclared_nested_apply_write_raises_like_a_worker(self, checking, make):
         # shared["totals"][mid] = delta *reads* the undeclared top-level key
         # first — a resident worker's replay copy raises exactly this KeyError
@@ -180,7 +185,7 @@ class TestWorkerParity:
         with pytest.raises(KeyError, match=r"shared\['totals'\].*resident worker"):
             cluster.superstep(broken.UndeclaredApplyWriteProgram(), shared=shared)
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @IN_PROCESS
     def test_undeclared_direct_apply_write_raises(self, checking, make):
         # a direct shared["totals"] = ... would be silently absorbed by a
         # worker's copy, so the oracle raises the loud contract error instead

@@ -33,18 +33,15 @@ from repro.static_mpc import StaticConnectedComponents, StaticMaximalMatching
 
 #: the equivalence matrix: every execution strategy, with ``resident-shm``
 #: the resident backend pinned to two slots (cross-slot frames ride shm).
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+BACKENDS = ("reference", "fast", "sharded", "resident", "resident-shm")
 
 SHARD_COUNT = 3
-MAX_WORKERS = 2
 
 
 def backend_kwargs(backend: str) -> dict:
     kwargs: dict = {"backend": "resident" if backend == "resident-shm" else backend}
-    if backend in ("sharded", "parallel", "process", "resident", "resident-shm"):
+    if backend in ("sharded", "resident", "resident-shm"):
         kwargs["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", "resident", "resident-shm"):
-        kwargs["max_workers"] = MAX_WORKERS
     if backend == "resident-shm":
         kwargs["resident_slots"] = 2
     return kwargs

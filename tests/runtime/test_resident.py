@@ -1,7 +1,7 @@
 """The resident backend's session, delta-shipping and live re-plan seams.
 
 Cross-backend *equivalence* of the resident backend is pinned in
-``test_backend_equivalence`` (six-backend matrix, non-vacuous residency
+``test_backend_equivalence`` (five-way matrix, non-vacuous residency
 assertions).  This module covers what is specific to residency itself:
 
 * live re-planning — :meth:`Cluster.replan` mid-run (including shard-count
@@ -11,8 +11,8 @@ assertions).  This module covers what is specific to residency itself:
 * the closed autotuning loop (``DMPCConfig.replan_every``);
 * the worker-session protocol ops, exercised in-process (they are plain
   functions over a sessions dict) and against the real worker processes;
-* snapshot-cache eviction by storage-version epoch, in both the process
-  backend's worker cache and resident session state.
+* snapshot-cache eviction by storage-version epoch in resident session
+  state, and the driver-side store-slice pickle cache that feeds it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.config import DMPCConfig
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph
 from repro.mpc.cluster import Cluster
-from repro.runtime.process import _WORKER_STORES, _worker_store
 from repro.runtime.resident import (
     ResidentBackend,
     ResidentSession,
@@ -42,7 +41,7 @@ from repro.static_mpc.common import build_static_cluster
 from repro.static_mpc.connected_components import LabelApplyProgram, LabelProposeProgram
 
 SHARD_COUNT = 3
-MAX_WORKERS = 2
+RESIDENT_SLOTS = 2
 
 
 def run_label_propagation(graph, *, backend, plans=None, replan_every=None, on_round=None):
@@ -61,7 +60,7 @@ def run_label_propagation(graph, *, backend, plans=None, replan_every=None, on_r
         graph,
         backend=backend,
         shard_count=SHARD_COUNT,
-        max_workers=MAX_WORKERS,
+        resident_slots=RESIDENT_SLOTS,
         replan_every=replan_every,
         layout="dict",
     )
@@ -165,7 +164,7 @@ class TestLiveReplan:
             graph,
             backend="resident",
             shard_count=SHARD_COUNT,
-            max_workers=MAX_WORKERS,
+            resident_slots=RESIDENT_SLOTS,
             replan_every=4,
         )
         tuned.run()
@@ -195,7 +194,7 @@ class TestLiveReplan:
             seed=31,
             backend="resident",
             shard_count=SHARD_COUNT,
-            max_workers=MAX_WORKERS,
+            resident_slots=RESIDENT_SLOTS,
             replan_every=2,
         )
         tuned.run()
@@ -310,7 +309,7 @@ class TestWorkerSessionProtocol:
         and a *fresh* session on the same workers still runs bit-identically."""
         graph = gnm_random_graph(30, 60, seed=29)
         setup = build_static_cluster(
-            graph, backend="resident", shard_count=SHARD_COUNT, max_workers=MAX_WORKERS, layout="dict"
+            graph, backend="resident", shard_count=SHARD_COUNT, resident_slots=RESIDENT_SLOTS, layout="dict"
         )
         cluster = setup.cluster
         worker_ids = setup.worker_ids
@@ -336,26 +335,38 @@ class TestWorkerSessionProtocol:
             assert session.session_id not in _slot_worker(slot).call(("sessions",))
 
 
-class TestProcessWorkerStoreCache:
-    def test_superseded_versions_are_evicted(self):
-        _WORKER_STORES.clear()
-        adj_blob = pickle.dumps({("adj", 1): [2]})
-        weights_blob = pickle.dumps({("weights", 1): {2: 1.0}})
-        assert _worker_store("m0", ("adj",), 1, adj_blob) == {("adj", 1): [2]}
-        assert _worker_store("m0", ("weights",), 1, weights_blob) == {("weights", 1): {2: 1.0}}
-        version, by_prefix = _WORKER_STORES["m0"]
-        assert version == 1 and set(by_prefix) == {("adj",), ("weights",)}
-        # the version epoch moves: every old prefix snapshot goes at once,
-        # so long update streams keep exactly one version per machine
-        new_adj = pickle.dumps({("adj", 1): [2, 3]})
-        assert _worker_store("m0", ("adj",), 2, new_adj) == {("adj", 1): [2, 3]}
-        version, by_prefix = _WORKER_STORES["m0"]
-        assert version == 2 and set(by_prefix) == {("adj",)}
-        _WORKER_STORES.clear()
+class TestDriverStoreBlobCache:
+    """``ResidentBackend._store_blob``: one pickle per (machine, slice, version)."""
 
-    def test_unchanged_blob_skips_unpickling(self):
-        _WORKER_STORES.clear()
-        blob = pickle.dumps({("adj", 7): [1]})
-        first = _worker_store("m1", ("adj",), 3, blob)
-        assert _worker_store("m1", ("adj",), 3, blob) is first
-        _WORKER_STORES.clear()
+    def make_cluster(self) -> Cluster:
+        config = DMPCConfig(capacity_n=32, capacity_m=64, backend="resident", shard_count=SHARD_COUNT)
+        cluster = Cluster(config)
+        for machine in cluster.add_machines("m", 2):
+            machine.store(("adj", machine.machine_id), [1, 2])
+            machine.store(("weights", machine.machine_id), {1: 0.5})
+        return cluster
+
+    def test_slices_cached_per_prefix_and_machine(self):
+        cluster = self.make_cluster()
+        backend = cluster.backend
+        m0, m1 = cluster.machine("m0"), cluster.machine("m1")
+        adj = backend._store_blob(m0, ("adj",))
+        whole = backend._store_blob(m0, None)
+        assert pickle.loads(adj) == {("adj", "m0"): [1, 2]}
+        assert pickle.loads(whole) == {("adj", "m0"): [1, 2], ("weights", "m0"): {1: 0.5}}
+        assert pickle.loads(backend._store_blob(m1, ("adj",))) == {("adj", "m1"): [1, 2]}
+        # each slice is memoised on its own
+        assert backend._store_blob(m0, ("adj",)) is adj
+        assert backend._store_blob(m0, None) is whole
+
+    def test_version_bump_repickles_only_that_machine(self):
+        cluster = self.make_cluster()
+        backend = cluster.backend
+        m0, m1 = cluster.machine("m0"), cluster.machine("m1")
+        stale = backend._store_blob(m0, ("adj",))
+        other = backend._store_blob(m1, ("adj",))
+        m0.store(("adj", "m0"), [1, 2, 3])
+        fresh = backend._store_blob(m0, ("adj",))
+        assert fresh is not stale
+        assert pickle.loads(fresh) == {("adj", "m0"): [1, 2, 3]}
+        assert backend._store_blob(m1, ("adj",)) is other  # m1's version never moved

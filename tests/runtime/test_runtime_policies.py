@@ -9,6 +9,7 @@ enforcement).
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -21,10 +22,9 @@ from repro.runtime import (
     BACKENDS,
     CachedStorage,
     FastBackend,
-    ParallelBackend,
-    ProcessBackend,
     ReferenceBackend,
     ReferenceStorage,
+    ResidentBackend,
     ShardedBackend,
     ShardPlan,
     resolve_backend,
@@ -59,6 +59,48 @@ class UndeclaredReadProgram(SuperstepProgram):
 
     def run(self, ctx, inbox, shared):  # pragma: no cover - never reached
         return None
+
+
+class ExplodingProgram(SuperstepProgram):
+    """Raises on every odd-numbered machine, naming the machine."""
+
+    def run(self, ctx, inbox, shared):
+        if int(ctx.machine_id[1:]) % 2 == 1:
+            raise RuntimeError(f"boom-{ctx.machine_id}")
+        return None
+
+
+class ReportToM0Program(SuperstepProgram):
+    """Every machine but ``m0`` reports its number to ``m0``.
+
+    Declares its sends worker-read, so a resident session may hold them at
+    the workers (slot-routed) until the next round consumes them there.
+    """
+
+    driver_reads_sends = False
+
+    def run(self, ctx, inbox, shared):
+        if ctx.machine_id != "m0":
+            ctx.send("m0", "report", int(ctx.machine_id[1:]))
+        return None
+
+
+class FunnelledReportProgram(ReportToM0Program):
+    """The same sends, declared driver-read: they funnel back every round."""
+
+    driver_reads_sends = True
+
+
+class CollectInboxProgram(SuperstepProgram):
+    """Each machine returns the payloads of its inbox, in delivery order."""
+
+    shared_writes = ("seen",)
+
+    def run(self, ctx, inbox, shared):
+        return [msg.payload for msg in inbox]
+
+    def apply(self, shared, machine_id, delta):
+        shared["seen"][machine_id] = delta
 
 
 def make_cluster(backend: str, **kwargs) -> Cluster:
@@ -231,7 +273,7 @@ class TestFastBackendEnforcesCaps:
 
 # ------------------------------------------------------------------- transport
 class TestTransportParity:
-    @pytest.mark.parametrize("backend", ["fast", "sharded", "parallel"])
+    @pytest.mark.parametrize("backend", ["fast", "sharded", "resident"])
     def test_delivery_order_matches_reference(self, backend):
         """Staging order must not leak into delivery order: registration order rules."""
         inboxes = {}
@@ -247,7 +289,7 @@ class TestTransportParity:
             inboxes[name] = [msg.payload for msg in cluster.machine("sink").inbox]
         assert inboxes[backend] == inboxes["reference"] == [f"m{i}" for i in range(7)]
 
-    @pytest.mark.parametrize("backend", ["fast", "sharded", "parallel"])
+    @pytest.mark.parametrize("backend", ["fast", "sharded", "resident"])
     def test_discard_undelivered_clears_staged_state(self, backend):
         cluster = make_cluster(backend)
         a = cluster.add_machine("a")
@@ -258,7 +300,7 @@ class TestTransportParity:
         assert record.message_count == 0
         assert cluster.machine("b").inbox == []
 
-    @pytest.mark.parametrize("backend", ["sharded", "parallel"])
+    @pytest.mark.parametrize("backend", ["sharded", "resident"])
     def test_message_words_match_reference_sizer(self, backend):
         """The transport message sizer must charge exactly the reference words."""
         payloads = [None, 7, "tagged-payload", [1, 2, (3, 4)], {"k": [5, 6]}, {("a", 1): {2, 3}}]
@@ -382,7 +424,7 @@ class TestShardPlan:
         assert cluster.backend.plan.shard_count == 5
         assert cluster.backend.plan.strategy == "index"
         hrw = DMPCConfig(
-            capacity_n=32, capacity_m=64, backend="parallel", shard_count=4, shard_strategy="rendezvous"
+            capacity_n=32, capacity_m=64, backend="resident", shard_count=4, shard_strategy="rendezvous"
         )
         assert Cluster(hrw).backend.plan.strategy == "rendezvous"
         with pytest.raises(ValueError, match="shard_strategy"):
@@ -474,14 +516,13 @@ class TestSharedLedgerPolicy:
         assert ledger.next_round_index == 3  # one shared round stream
 
     def test_aggregate_backends_share_one_policy_name(self):
-        """fast/sharded/parallel/process condense rounds identically, so they may mix."""
+        """fast/sharded/resident condense rounds identically, so they may mix."""
         ledger = MetricsLedger()
         Cluster(self.make_config("fast"), ledger=ledger)
         Cluster(self.make_config("sharded"), ledger=ledger)
-        Cluster(self.make_config("parallel"), ledger=ledger)
-        Cluster(self.make_config("process"), ledger=ledger)
+        Cluster(self.make_config("resident"), ledger=ledger)
 
-    @pytest.mark.parametrize("backend", ["fast", "sharded", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["fast", "sharded", "resident"])
     def test_custom_factory_never_clobbered(self, backend):
         def custom_factory(round_index, messages):
             return RoundRecord(
@@ -530,97 +571,19 @@ class TestSharedLedgerPolicy:
         assert record.pair_words == {}  # aggregate policy, not the stock full-detail one
 
 
-# -------------------------------------------------------------- superstep pool
-class TestParallelSuperstep:
-    def make_parallel_cluster(self, *, machines: int = 9, shard_count: int = 4, max_workers: int = 2) -> Cluster:
-        config = DMPCConfig(
-            capacity_n=64, capacity_m=128, backend="parallel", shard_count=shard_count, max_workers=max_workers
-        )
-        cluster = Cluster(config)
-        cluster.add_machines("m", machines)
-        return cluster
+# ------------------------------------------------------------ resident backend
+class TestResidentSuperstep:
+    """The resident backend's superstep paths: in-session workers, sequential outside."""
 
-    def test_pooled_superstep_matches_sequential(self):
-        outcomes = {}
-        for backend in ("reference", "parallel"):
-            config = DMPCConfig(
-                capacity_n=64, capacity_m=128, backend=backend, shard_count=4, max_workers=2
-            )
-            cluster = Cluster(config)
-            cluster.add_machines("m", 9)
-
-            def handler(machine, inbox):
-                machine.store("round", len(inbox))
-                if machine.machine_id != "m0":
-                    machine.send("m0", "report", machine.index)
-
-            record = cluster.superstep(handler)
-            outcomes[backend] = (
-                record.message_count,
-                record.total_words,
-                [m.load("round") for m in cluster.machines()],
-            )
-        assert outcomes["parallel"] == outcomes["reference"]
-
-    def test_pooled_superstep_inbox_delivery_order(self):
-        cluster = self.make_parallel_cluster()
-        seen: dict[str, list[int]] = {}
-
-        def stage(machine, inbox):
-            if machine.machine_id != "m0":
-                machine.send("m0", "probe", machine.index)
-
-        cluster.superstep(stage)
-
-        def collect(machine, inbox):
-            seen[machine.machine_id] = [msg.payload for msg in inbox]
-
-        cluster.superstep(collect)
-        assert seen["m0"] == list(range(1, 9))  # registration order despite pooled staging
-
-    def test_handler_errors_propagate_deterministically(self):
-        cluster = self.make_parallel_cluster()
-
-        def exploding(machine, inbox):
-            if machine.index % 2 == 1:
-                raise RuntimeError(f"boom-{machine.machine_id}")
-
-        with pytest.raises(RuntimeError, match="boom-m1"):
-            cluster.superstep(exploding)
-
-    def test_single_worker_falls_back_to_sequential(self):
-        cluster = self.make_parallel_cluster(max_workers=1)
-        order: list[str] = []
-
-        def handler(machine, inbox):
-            order.append(machine.machine_id)
-
-        cluster.superstep(handler)
-        assert order == [f"m{i}" for i in range(9)]  # strictly sequential registration order
-
-    def test_default_workers_bounded_by_plan_and_cpu(self):
-        import os
-
-        config = DMPCConfig(capacity_n=32, capacity_m=64, shard_count=3)
-        backend = ParallelBackend(config)
-        assert 1 <= backend.max_workers <= max(1, min(3, os.cpu_count() or 1))
-        explicit = ParallelBackend(DMPCConfig(capacity_n=32, capacity_m=64, max_workers=7))
-        assert explicit.max_workers == 7
-
-
-# ------------------------------------------------------------ process backend
-class TestProcessSuperstep:
-    """The spawn-pool execution path: serialization round trip, fallbacks."""
-
-    def make_process_cluster(
-        self, *, machines: int = 9, shard_count: int = 4, max_workers: int = 2, **extra
+    def make_resident_cluster(
+        self, *, machines: int = 9, shard_count: int = 4, resident_slots: int = 2, **extra
     ) -> Cluster:
         config = DMPCConfig(
             capacity_n=64,
             capacity_m=128,
-            backend="process",
+            backend="resident",
             shard_count=shard_count,
-            max_workers=max_workers,
+            resident_slots=resident_slots,
             **extra,
         )
         cluster = Cluster(config)
@@ -628,9 +591,13 @@ class TestProcessSuperstep:
             machine.store(("token", machine.machine_id), 10 * i)
         return cluster
 
-    def run_probe(self, cluster: Cluster) -> dict:
+    def run_probe(self, cluster: Cluster, *, session: bool = True) -> dict:
         shared = {"offset": 7, "results": {}}
-        cluster.superstep(TokenProbeProgram(), shared=shared)
+        if session:
+            with cluster.session(shared):
+                cluster.superstep(TokenProbeProgram(), shared=shared)
+        else:
+            cluster.superstep(TokenProbeProgram(), shared=shared)
         return shared["results"]
 
     def assert_probe_observable(self, cluster: Cluster, results: dict) -> None:
@@ -640,69 +607,134 @@ class TestProcessSuperstep:
         # registration delivery order, identical to every in-process backend
         assert [msg.payload for msg in inbox] == [10 * i + 7 for i in range(1, len(machines))]
 
-    def test_pool_round_trip_crosses_process_boundary(self):
-        cluster = self.make_process_cluster()
+    def test_session_round_trip_crosses_process_boundary(self):
+        cluster = self.make_resident_cluster()
         results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "pool"
+        assert cluster.backend.last_superstep_mode == "resident"
         self.assert_probe_observable(cluster, results)
         worker_pids = {pid for pid, _ in results.values()}
         assert os.getpid() not in worker_pids  # every run happened elsewhere
 
-    def test_single_worker_falls_back_to_sequential(self):
-        cluster = self.make_process_cluster(max_workers=1)
-        results = self.run_probe(cluster)
+    def test_outside_a_session_runs_sequentially_in_the_driver(self):
+        cluster = self.make_resident_cluster()
+        results = self.run_probe(cluster, session=False)
         assert cluster.backend.last_superstep_mode == "sequential"
         self.assert_probe_observable(cluster, results)
         assert {pid for pid, _ in results.values()} == {os.getpid()}  # never left the driver
 
-    def test_single_shard_falls_back_to_sequential(self):
-        cluster = self.make_process_cluster(shard_count=1)
+    def test_single_slot_session_still_crosses_process_boundary(self):
+        """One slot is a real residency, not a fallback to the driver."""
+        cluster = self.make_resident_cluster(resident_slots=1)
+        assert cluster.backend.worker_slots == 1
         results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "sequential"
-        assert {pid for pid, _ in results.values()} == {os.getpid()}
+        assert cluster.backend.last_superstep_mode == "resident"
+        self.assert_probe_observable(cluster, results)
+        worker_pids = {pid for pid, _ in results.values()}
+        assert len(worker_pids) == 1 and os.getpid() not in worker_pids
+
+    def test_single_shard_clamps_to_one_slot(self):
+        cluster = self.make_resident_cluster(shard_count=1, resident_slots=2)
+        assert cluster.backend.worker_slots == 1  # a slot with no shards would idle
+        results = self.run_probe(cluster)
+        self.assert_probe_observable(cluster, results)
+        assert len({pid for pid, _ in results.values()}) == 1
+
+    def test_default_slots_bounded_by_plan_and_cpu(self):
+        default = ResidentBackend(DMPCConfig(capacity_n=32, capacity_m=64, shard_count=3))
+        assert default.worker_slots == max(1, min(3, os.cpu_count() or 1))
+        pinned = ResidentBackend(DMPCConfig(capacity_n=32, capacity_m=64, shard_count=3, resident_slots=2))
+        assert pinned.worker_slots == 2
+        clamped = ResidentBackend(DMPCConfig(capacity_n=32, capacity_m=64, shard_count=3, resident_slots=7))
+        assert clamped.worker_slots == 3
+
+    @pytest.mark.parametrize("session", [False, True], ids=["driver", "session"])
+    def test_program_errors_propagate_deterministically(self, session):
+        """The lowest failing machine's error surfaces, in or out of a session."""
+        cluster = self.make_resident_cluster()
+        shared: dict = {}
+        with cluster.session(shared) if session else contextlib.nullcontext():
+            with pytest.raises(RuntimeError, match="boom-m1"):
+                cluster.superstep(ExplodingProgram(), shared=shared)
+
+    @pytest.mark.parametrize("program", [ReportToM0Program, FunnelledReportProgram], ids=["routed", "funnelled"])
+    def test_session_inbox_delivery_order(self, program):
+        """Worker-held and funnelled sends reach the next round in registration order."""
+        cluster = self.make_resident_cluster()
+        shared = {"seen": {}}
+        with cluster.session(shared):
+            cluster.superstep(program(), shared=shared)
+            cluster.superstep(CollectInboxProgram(), shared=shared)
+        assert shared["seen"]["m0"] == list(range(1, 9))
+        assert all(shared["seen"][f"m{i}"] == [] for i in range(1, 9))
+        traffic = cluster.backend.last_session_traffic
+        routed = traffic["local_messages"] + traffic["cross_slot_messages"]
+        # driver-read sends never route; worker-read ones never funnel
+        assert routed == (8 if program is ReportToM0Program else 0)
+
+    def test_misdeclared_driver_read_stays_exact(self):
+        """A program declaring worker-read sends the driver then reads: the
+        safety flush hands the driver the complete inbox, in reference order."""
+        cluster = self.make_resident_cluster()
+        shared: dict = {}
+        with cluster.session(shared):
+            cluster.superstep(ReportToM0Program(), shared=shared)
+            payloads = [msg.payload for msg in cluster.machine("m0").drain("report")]
+        assert payloads == list(range(1, 9))
+        assert cluster.machine("m0").inbox == []
+
+    def test_session_rejects_callables_before_any_round(self):
+        cluster = self.make_resident_cluster()
+        shared = {"offset": 7, "results": {}}
+
+        def handler(machine, inbox):  # pragma: no cover - never called
+            return None
+
+        with cluster.session(shared):
+            before = cluster.ledger.next_round_index
+            with pytest.raises(TypeError, match="SuperstepProgram"):
+                cluster.superstep_block([TokenProbeProgram(), handler], shared=shared)
+            assert cluster.ledger.next_round_index == before
+            assert shared["results"] == {}
+            # the session is still live: the next real round runs resident
+            cluster.superstep(TokenProbeProgram(), shared=shared)
+        assert cluster.backend.last_superstep_mode == "resident"
+        self.assert_probe_observable(cluster, shared["results"])
 
     def test_env_var_selection_round_trip(self, monkeypatch):
-        """REPRO_BACKEND=process: resolution, construction and a pooled run."""
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        config = DMPCConfig(capacity_n=64, capacity_m=128, shard_count=4, max_workers=2)
-        assert resolve_backend(None, config).name == "process"
+        """REPRO_BACKEND=resident: resolution, construction and a session run."""
+        monkeypatch.setenv("REPRO_BACKEND", "resident")
+        config = DMPCConfig(capacity_n=64, capacity_m=128, shard_count=4, resident_slots=2)
+        assert resolve_backend(None, config).name == "resident"
         cluster = Cluster(config)
-        assert isinstance(cluster.backend, ProcessBackend)
+        assert isinstance(cluster.backend, ResidentBackend)
         for i, machine in enumerate(cluster.add_machines("m", 9)):
             machine.store(("token", machine.machine_id), 10 * i)
         results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "pool"
-        self.assert_probe_observable(cluster, results)
-
-    def test_closure_handlers_stay_in_process(self):
-        """Closures cannot be pickled; they take the inherited thread path."""
-        cluster = self.make_process_cluster()
-        seen: list[str] = []
-
-        def handler(machine, inbox):
-            seen.append(machine.machine_id)
-
-        cluster.superstep(handler)
-        assert cluster.backend.last_superstep_mode == "threads"
-        assert sorted(seen) == sorted(m.machine_id for m in cluster.machines())
-
-    def test_chunking_knob_regroups_jobs(self):
-        cluster = self.make_process_cluster(process_chunk_machines=4)
-        buckets = cluster.backend.job_buckets(cluster.machines())
-        assert [len(b) for b in buckets] == [4, 4, 1]
-        # contiguous registration-order chunks, not shard-plan buckets
-        assert [m.machine_id for m in buckets[0]] == ["m0", "m1", "m2", "m3"]
-        results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "pool"
+        assert cluster.backend.last_superstep_mode == "resident"
         self.assert_probe_observable(cluster, results)
 
     def test_undeclared_shared_read_is_a_loud_error(self):
-        cluster = self.make_process_cluster()
-        with pytest.raises(KeyError, match="missing-key"):
-            cluster.superstep(UndeclaredReadProgram(), shared={"offset": 1})
+        cluster = self.make_resident_cluster()
+        shared = {"offset": 1}
+        with cluster.session(shared):
+            with pytest.raises(KeyError, match="missing-key"):
+                cluster.superstep(UndeclaredReadProgram(), shared=shared)
+
+    def test_broken_session_falls_back_to_sequential(self):
+        """After a session breaks, ``resident`` is the sharded backend again."""
+        cluster = self.make_resident_cluster()
+        shared = {"offset": 7, "results": {}}
+        with cluster.session(shared) as session:
+            with pytest.raises(KeyError, match="missing-key"):
+                cluster.superstep(UndeclaredReadProgram(), shared=shared)
+            assert session._broken
+            cluster.superstep(TokenProbeProgram(), shared=shared)
+            assert cluster.backend.last_superstep_mode == "sequential"
+        self.assert_probe_observable(cluster, shared["results"])
+        assert {pid for pid, _ in shared["results"].values()} == {os.getpid()}
 
     def test_store_blobs_memoised_until_version_bump(self):
-        cluster = self.make_process_cluster()
+        cluster = self.make_resident_cluster()
         backend = cluster.backend
         machine = cluster.machine("m0")
         blob = backend._store_blob(machine, ("token",))
@@ -713,28 +745,29 @@ class TestProcessSuperstep:
 
     def test_matches_reference_backend_observables(self):
         outcomes = {}
-        for backend in ("reference", "process"):
+        for backend in ("reference", "resident"):
             config = DMPCConfig(
-                capacity_n=64, capacity_m=128, backend=backend, shard_count=4, max_workers=2
+                capacity_n=64, capacity_m=128, backend=backend, shard_count=4, resident_slots=2
             )
             cluster = Cluster(config)
             for i, machine in enumerate(cluster.add_machines("m", 9)):
                 machine.store(("token", machine.machine_id), 10 * i)
             shared = {"offset": 3, "results": {}}
-            record = cluster.superstep(TokenProbeProgram(), shared=shared)
+            with cluster.session(shared):
+                record = cluster.superstep(TokenProbeProgram(), shared=shared)
             outcomes[backend] = (
                 record.message_count,
                 record.total_words,
                 record.active_machines,
                 {mid: value for mid, (_, value) in shared["results"].items()},
             )
-        assert outcomes["process"] == outcomes["reference"]
+        assert outcomes["resident"] == outcomes["reference"]
 
 
 # ------------------------------------------------------------------ resolution
 class TestBackendResolution:
     def test_registry_names(self):
-        assert {"reference", "fast", "sharded", "parallel", "process"} <= set(BACKENDS)
+        assert set(BACKENDS) == {"reference", "fast", "sharded", "resident"}
 
     def test_config_selects_backend(self):
         assert make_cluster("fast").backend.name == "fast"
@@ -769,7 +802,7 @@ class TestBackendResolution:
     def test_guarantees_surface(self):
         config = DMPCConfig(capacity_n=32, capacity_m=64)
         assert ReferenceBackend(config).guarantees["full_metrics"]
-        for backend_cls in (FastBackend, ShardedBackend, ParallelBackend, ProcessBackend):
+        for backend_cls in (FastBackend, ShardedBackend, ResidentBackend):
             guarantees = backend_cls(config).guarantees
             assert guarantees["strict_memory"] and guarantees["io_cap"] and guarantees["exact_accounting"]
             assert not guarantees["full_metrics"]

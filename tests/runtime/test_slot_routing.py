@@ -1,7 +1,7 @@
 """Slot-local routing: the wire codec, the shm rings and the traffic books.
 
 ``test_backend_equivalence`` pins that the slot-routing resident backend is
-bit-identical to the other six configurations; ``test_resident`` pins the
+bit-identical to the other four configurations; ``test_resident`` pins the
 session protocol and live re-planning.  This module covers the routing
 machinery itself:
 
@@ -349,7 +349,6 @@ class TestSizerAccounting:
 
 # ------------------------------------------------------------------ end to end
 SHARD_COUNT = 3
-MAX_WORKERS = 2
 
 
 def run_matching(graph, seed=31, **kwargs):
@@ -367,7 +366,6 @@ def run_label_propagation(graph, *, backend, plans=None, **cluster_kwargs):
         graph,
         backend=backend,
         shard_count=SHARD_COUNT,
-        max_workers=MAX_WORKERS,
         layout="dict",
         **cluster_kwargs,
     )

@@ -32,11 +32,13 @@ from repro.mpc.layout import (
 from repro.mpc.sizing import fast_word_size, word_size
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
 
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+#: ``resident-1slot`` pins one worker slot: every routed frame stays
+#: slot-local and fused blocks run without the shm round barrier;
+#: ``resident-shm`` pins two, so cross-slot frames ride shm rings.
+BACKENDS = ("reference", "fast", "sharded", "resident", "resident-1slot", "resident-shm")
 
 #: deliberately odd so it does not divide typical machine counts
 SHARD_COUNT = 3
-MAX_WORKERS = 2
 
 
 def backend_kwargs(backend: str) -> dict:
@@ -44,12 +46,13 @@ def backend_kwargs(backend: str) -> dict:
     if backend == "resident-shm":
         extra["backend"] = "resident"
         extra["resident_slots"] = 2
+    elif backend == "resident-1slot":
+        extra["backend"] = "resident"
+        extra["resident_slots"] = 1
     else:
         extra["backend"] = backend
-    if backend in ("sharded", "parallel", "process", "resident", "resident-shm"):
+    if backend in ("sharded", "resident", "resident-1slot", "resident-shm"):
         extra["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", "resident", "resident-shm"):
-        extra["max_workers"] = MAX_WORKERS
     return extra
 
 
